@@ -6,6 +6,7 @@ import pytest
 from scrollcalc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+MATRIX = json.loads((GOLDEN / "cli_matrix.json").read_text())
 
 
 def run(capsys, *argv):
@@ -31,6 +32,17 @@ def test_golden_invalid_scroll(capsys):
     assert code == 3
     assert out == ""
     assert err == (GOLDEN / "invalid_scroll.txt").read_text()
+
+
+@pytest.mark.parametrize("case", MATRIX, ids=[" ".join(c["argv"]) or "(no arguments)" for c in MATRIX])
+def test_cli_matrix(capsys, case):
+    """Every subcommand, plain and --json, byte for byte.  Usage errors
+    record only the exit code: argparse's wording varies by Python version."""
+    code, out, err = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    if "stdout" in case:
+        assert out == case["stdout"]
+        assert err == case["stderr"]
 
 
 def test_usage_error_exits_2(capsys):
