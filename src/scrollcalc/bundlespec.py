@@ -11,6 +11,10 @@ Grammar (whitespace ignored between tokens):
 extensions 0 -> A -> E -> B -> 0.  Multiplicities multiply out into
 multisets: "2*O(0,3)" and "O(0,3)^2" both mean O(0,3) + O(0,3).
 
+"ext(" atoms nest at most MAX_EXT_DEPTH deep; a deeper one is a
+ParseError at the offending "ext" token, raised before the parser
+descends into it.
+
 A "+" of plain line-bundle terms builds one Sum.  When ext terms are
 mixed in, adjacent line-bundle runs are merged into Sums and the pieces
 are folded left to right into nested extension classes; the direct sum
@@ -31,6 +35,12 @@ from .extensions import BundleExpr, Ext, Sum
 from .scroll import DivisorClass
 
 _PUNCT = "(),;+*^"
+
+# The parser and the evaluators recurse once per nesting level.  The
+# bound turns a deep spec into a ParseError instead of a RecursionError,
+# with room for Ext depths up to 200, the top of the roadmap's
+# depth-scaling curve.
+MAX_EXT_DEPTH = 200
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -68,6 +78,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.ext_depth = 0  # "ext(" atoms open around the current position
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -126,10 +137,14 @@ class _Parser:
             f = self.parse_int()
             self.expect(")")
             return Sum(LineBundleSum((DivisorClass(h, f),)))
+        if self.ext_depth == MAX_EXT_DEPTH:
+            raise ParseError(f"ext(...) nested deeper than {MAX_EXT_DEPTH} levels", tok[2], ("O",))
+        self.ext_depth += 1
         sub = self.parse_spec()
         self.expect(";")
         quot = self.parse_spec()
         self.expect(")")
+        self.ext_depth -= 1
         return Ext(sub, quot)
 
 

@@ -1,5 +1,16 @@
 """Command line front end.
 
+Every subcommand handler takes the parsed arguments, the scroll and the
+parsed `--bundle` (None for commands without one) and returns one
+result: the JSON object and the lines of the plain form.  `main` builds
+the scroll and the bundle, calls the handler and prints the result,
+one JSON line under `--json` and the plain lines otherwise; it is the
+only place that writes to stdout.  `table` has no JSON form: it returns
+None and a lazy iterator of CSV rows, so rows stream one at a time.
+
+JSON results share one envelope, `{"scroll", "input", <result fields>,
+"witnesses", "flags"}`; only `cohomology` keeps its own short shape.
+
 Exit codes: 0 when a result was computed (negative and indeterminate
 verdicts included), 2 for usage or bundle-spec parse errors, 3 for
 domain errors such as invalid scrolls or unsupported arrangements.
@@ -19,12 +30,11 @@ from .logbundles import (
     classify_regular_acm_log,
     log_splitting_type,
     residue_consistency,
-    twist_rectangle,
     validate_arrangement,
     FORMULA_ONLY_FLAG,
 )
 from .regularity import is_pp_regular, reg
-from .scroll import DivisorClass, make_scroll
+from .scroll import DivisorClass, Scroll
 from .splitting import (
     decide_split_acm3,
     decide_split_tH,
@@ -57,11 +67,13 @@ def _twist_ranges(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((hlo, hhi), (flo, fhi))
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+def _rectangle(ranges):
+    """The twists of a `--twists` rectangle, lazily, in row-major order."""
+    (hlo, hhi), (flo, fhi) = ranges
+    return (DivisorClass(th, tf) for th in range(hlo, hhi + 1) for tf in range(flo, fhi + 1))
 
 
-def _scroll_obj(s) -> dict:
+def _scroll_obj(s: Scroll) -> dict:
     return {"a0": s.a0, "a1": s.a1}
 
 
@@ -69,258 +81,123 @@ def _probe_obj(p: Probe) -> dict:
     return {"name": p.name, "twist": [p.twist.h, p.twist.f], "lo": p.lo, "hi": p.hi}
 
 
-def _cmd_cohomology(args) -> int:
-    s = make_scroll(*args.scroll)
+def _envelope(s: Scroll, given, witnesses=(), flags=None, **fields) -> dict:
+    """The shared JSON shape; result fields whose value is None are left out."""
+    obj = {"scroll": _scroll_obj(s), "input": given}
+    obj.update((k, v) for k, v in fields.items() if v is not None)
+    obj["witnesses"] = list(witnesses)
+    obj["flags"] = flags or {}
+    return obj
+
+
+def _cmd_cohomology(args, s, b):
     d = DivisorClass(*args.divisor)
     rec = line_cohomology(s, d)
-    if args.json:
-        _emit_json(
-            {
-                "scroll": _scroll_obj(s),
-                "divisor": [d.h, d.f],
-                "h": [rec.h0, rec.h1, rec.h2],
-                "chi": rec.chi,
-            }
-        )
-    else:
-        print(f"h0 = {rec.h0}")
-        print(f"h1 = {rec.h1}")
-        print(f"h2 = {rec.h2}")
-        print(f"chi = {rec.chi}")
-    return 0
+    obj = {"scroll": _scroll_obj(s), "divisor": [d.h, d.f], "h": [rec.h0, rec.h1, rec.h2], "chi": rec.chi}
+    return obj, [f"h0 = {rec.h0}", f"h1 = {rec.h1}", f"h2 = {rec.h2}", f"chi = {rec.chi}"]
 
 
-def _cmd_table(args) -> int:
-    s = make_scroll(*args.scroll)
-    b = parse_bundle_spec(args.bundle)
-    (hlo, hhi), (flo, fhi) = args.twists
-    print("tH,tf,h0,h1,h2,chi")
-    for th in range(hlo, hhi + 1):
-        for tf in range(flo, fhi + 1):
-            iv = extension_cohomology(s, b, DivisorClass(th, tf))
-            cells = [
-                str(iv.lo(i)) if iv.forced_at(i) else f"{iv.lo(i)}..{iv.hi(i)}"
-                for i in range(3)
-            ]
-            print(f"{th},{tf},{cells[0]},{cells[1]},{cells[2]},{iv.chi}")
-    return 0
+def _cmd_table(args, s, b):
+    def rows():
+        yield "tH,tf,h0,h1,h2,chi"
+        for t in _rectangle(args.twists):
+            iv = extension_cohomology(s, b, t)
+            cells = [str(iv.lo(i)) if iv.forced_at(i) else f"{iv.lo(i)}..{iv.hi(i)}" for i in range(3)]
+            yield f"{t.h},{t.f},{cells[0]},{cells[1]},{cells[2]},{iv.chi}"
+
+    return None, rows()
 
 
-def _cmd_regularity(args) -> int:
-    s = make_scroll(*args.scroll)
-    b = parse_bundle_spec(args.bundle)
+def _cmd_regularity(args, s, b):
     report = is_pp_regular(s, b, args.p, args.pp)
     r = reg(s, b)
     reg_out = r if isinstance(r, int) else r.value
-    if args.json:
-        _emit_json(
-            {
-                "scroll": _scroll_obj(s),
-                "input": {"bundle": format_bundle(b), "p": args.p, "pp": args.pp},
-                "verdict": report.verdict.value,
-                "reg": reg_out,
-                "witnesses": [_probe_obj(p) for p in report.witnesses],
-                "flags": {},
-            }
-        )
-    else:
-        print(f"verdict: {report.verdict.value}")
-        print(f"reg: {reg_out}")
-        for p in report.witnesses:
-            print(f"probe: {p.describe()}")
-    return 0
+    given = {"bundle": format_bundle(b), "p": args.p, "pp": args.pp}
+    obj = _envelope(s, given, map(_probe_obj, report.witnesses), verdict=report.verdict.value, reg=reg_out)
+    lines = [f"verdict: {report.verdict.value}", f"reg: {reg_out}"]
+    return obj, lines + [f"probe: {p.describe()}" for p in report.witnesses]
 
 
-def _split_output(args, verdict) -> int:
+def _cmd_split(s, b, decide):
+    verdict = decide(s, b)
     word = _SPLIT_WORDS[verdict.outcome]
-    witnesses: list[dict] = []
+    splitting = format_bundle(Sum(verdict.witness)) if verdict.witness is not None else None
+    witnesses, lines = [], [f"verdict: {word}"]
+    if splitting is not None:
+        lines.append(f"splitting: {splitting}")
     if verdict.failure is not None:
-        witnesses.append(
-            {"condition": verdict.failure.condition, "t": verdict.failure.t, "value": verdict.failure.value}
-        )
+        w = verdict.failure
+        witnesses.append({"condition": w.condition, "t": w.t, "value": w.value})
+        lines.append(f"witness: {w.condition} at t = {w.t}, value {w.value}")
     witnesses.extend(_probe_obj(p) for p in verdict.probes)
-    if args.json:
-        obj = {
-            "scroll": _scroll_obj(args._scroll_obj),
-            "input": args._bundle_text,
-            "verdict": word,
-        }
-        if verdict.witness is not None:
-            obj["splitting"] = format_bundle(Sum(verdict.witness))
-        obj["witnesses"] = witnesses
-        obj["flags"] = {"note": verdict.note} if verdict.note else {}
-        _emit_json(obj)
-    else:
-        print(f"verdict: {word}")
-        if verdict.witness is not None:
-            print(f"splitting: {format_bundle(Sum(verdict.witness))}")
-        if verdict.failure is not None:
-            w = verdict.failure
-            print(f"witness: {w.condition} at t = {w.t}, value {w.value}")
-        for p in verdict.probes:
-            print(f"unresolved: {p.describe()}")
-        if verdict.note:
-            print(f"note: {verdict.note}")
-    return 0
+    lines.extend(f"unresolved: {p.describe()}" for p in verdict.probes)
+    if verdict.note:
+        lines.append(f"note: {verdict.note}")
+    flags = {"note": verdict.note} if verdict.note else {}
+    return _envelope(s, format_bundle(b), witnesses, flags, verdict=word, splitting=splitting), lines
 
 
-def _cmd_split(args, decide) -> int:
-    s = make_scroll(*args.scroll)
-    b = parse_bundle_spec(args.bundle)
-    args._scroll_obj = s
-    args._bundle_text = format_bundle(b)
-    return _split_output(args, decide(s, b))
-
-
-def _cmd_summand(args) -> int:
-    s = make_scroll(*args.scroll)
-    b = parse_bundle_spec(args.bundle)
+def _cmd_summand(args, s, b):
     result = detect_line_summand(s, b)
-    if args.json:
-        obj = {
-            "scroll": _scroll_obj(s),
-            "input": format_bundle(b),
-            "verdict": result.verdict.value,
-        }
-        if result.summand is not None:
-            obj["summand"] = str(result.summand)
-        obj["witnesses"] = (
-            [_probe_obj(result.witness)] if result.witness is not None else []
-        ) + [_probe_obj(p) for p in result.probes]
-        obj["flags"] = {}
-        _emit_json(obj)
-    else:
-        print(f"verdict: {result.verdict.value}")
-        if result.summand is not None:
-            print(f"summand: {result.summand}")
-        if result.witness is not None:
-            print(f"witness: {result.witness.describe()}")
-        for p in result.probes:
-            print(f"probe: {p.describe()}")
-    return 0
+    summand = str(result.summand) if result.summand is not None else None
+    lines = [f"verdict: {result.verdict.value}"]
+    if summand is not None:
+        lines.append(f"summand: {summand}")
+    witnesses = list(result.probes)
+    if result.witness is not None:
+        lines.append(f"witness: {result.witness.describe()}")
+        witnesses.insert(0, result.witness)
+    lines.extend(f"probe: {p.describe()}" for p in result.probes)
+    obj = _envelope(s, format_bundle(b), map(_probe_obj, witnesses), verdict=result.verdict.value, summand=summand)
+    return obj, lines
 
 
-def _cmd_acm(args) -> int:
-    s = make_scroll(*args.scroll)
-    b = parse_bundle_spec(args.bundle)
+def _cmd_acm(args, s, b):
     result = is_acm(s, b)
-    if args.json:
-        witnesses = []
-        if result.witness_t is not None:
-            witnesses.append({"t": result.witness_t, "value": result.witness_value})
-        witnesses.extend(_probe_obj(p) for p in result.probes)
-        _emit_json(
-            {
-                "scroll": _scroll_obj(s),
-                "input": format_bundle(b),
-                "verdict": result.verdict.value,
-                "witnesses": witnesses,
-                "flags": {},
-            }
-        )
-    else:
-        print(f"verdict: {result.verdict.value}")
-        if result.witness_t is not None:
-            print(f"witness: t = {result.witness_t}, h1 = {result.witness_value}")
-        for p in result.probes:
-            print(f"unresolved: {p.describe()}")
-    return 0
+    witnesses, lines = [], [f"verdict: {result.verdict.value}"]
+    if result.witness_t is not None:
+        witnesses.append({"t": result.witness_t, "value": result.witness_value})
+        lines.append(f"witness: t = {result.witness_t}, h1 = {result.witness_value}")
+    witnesses.extend(_probe_obj(p) for p in result.probes)
+    lines.extend(f"unresolved: {p.describe()}" for p in result.probes)
+    return _envelope(s, format_bundle(b), witnesses, verdict=result.verdict.value), lines
 
 
-def _cmd_ulrich(args) -> int:
-    s = make_scroll(*args.scroll)
-    b = parse_bundle_spec(args.bundle)
+def _cmd_ulrich(args, s, b):
     result = is_ulrich(s, b)
-    if args.json:
-        witnesses = []
-        if result.witness is not None:
-            witnesses.append(_probe_obj(result.witness))
-        elif result.verdict is Verdict.INDETERMINATE:
-            witnesses.extend(_probe_obj(p) for p in result.probes)
-        _emit_json(
-            {
-                "scroll": _scroll_obj(s),
-                "input": format_bundle(b),
-                "verdict": result.verdict.value,
-                "witnesses": witnesses,
-                "flags": {},
-            }
-        )
-    else:
-        print(f"verdict: {result.verdict.value}")
-        if result.witness is not None:
-            print(f"witness: {result.witness.describe()}")
-        elif result.verdict is Verdict.INDETERMINATE:
-            for p in result.probes:
-                print(f"unresolved: {p.describe()}")
-    return 0
+    shown, label = (), ""
+    if result.witness is not None:
+        shown, label = (result.witness,), "witness"
+    elif result.verdict is Verdict.INDETERMINATE:
+        shown, label = result.probes, "unresolved"
+    obj = _envelope(s, format_bundle(b), map(_probe_obj, shown), verdict=result.verdict.value)
+    return obj, [f"verdict: {result.verdict.value}"] + [f"{label}: {p.describe()}" for p in shown]
 
 
-def _cmd_ulrich_make(args) -> int:
-    s = make_scroll(*args.scroll)
-    b = make_ulrich(s, args.a, args.b)
-    result = is_ulrich(s, b)
-    if args.json:
-        _emit_json(
-            {
-                "scroll": _scroll_obj(s),
-                "input": {"a": args.a, "b": args.b},
-                "bundle": format_bundle(b),
-                "verdict": result.verdict.value,
-                "witnesses": [],
-                "flags": {},
-            }
-        )
-    else:
-        print(f"bundle: {format_bundle(b)}")
-        print(f"verdict: {result.verdict.value}")
-    return 0
+def _cmd_ulrich_make(args, s, b):
+    expr = make_ulrich(s, args.a, args.b)
+    bundle = format_bundle(expr)
+    verdict = is_ulrich(s, expr).verdict.value
+    obj = _envelope(s, {"a": args.a, "b": args.b}, bundle=bundle, verdict=verdict)
+    return obj, [f"bundle: {bundle}", f"verdict: {verdict}"]
 
 
-def _cmd_ext1(args) -> int:
-    s = make_scroll(*args.scroll)
+def _cmd_ext1(args, s, b):
     from_ = DivisorClass(*args.from_)
     to = DivisorClass(*args.to)
     dim = ext1_dim(s, from_, to)
-    if args.json:
-        _emit_json(
-            {
-                "scroll": _scroll_obj(s),
-                "input": {"from": [from_.h, from_.f], "to": [to.h, to.f]},
-                "ext1": dim,
-                "witnesses": [],
-                "flags": {},
-            }
-        )
-    else:
-        print(f"ext1 = {dim}")
-    return 0
+    return _envelope(s, {"from": [from_.h, from_.f], "to": [to.h, to.f]}, ext1=dim), [f"ext1 = {dim}"]
 
 
-def _cmd_log(args) -> int:
-    s = make_scroll(*args.scroll)
+def _cmd_log(args, s, b):
     arr = validate_arrangement(s, args.lines, args.curves)
-    split = log_splitting_type(arr)
+    splitting = format_bundle(Sum(log_splitting_type(arr)))
     flags = {"supported": arr.supported, "formula_only": FORMULA_ONLY_FLAG in arr.flags}
-    if args.json:
-        _emit_json(
-            {
-                "scroll": _scroll_obj(s),
-                "input": {"lines": args.lines, "curves": args.curves},
-                "splitting": format_bundle(Sum(split)),
-                "witnesses": [],
-                "flags": flags,
-            }
-        )
-    else:
-        print(f"splitting: {format_bundle(Sum(split))}")
-        for key, value in flags.items():
-            print(f"{key}: {str(value).lower()}")
-    return 0
+    obj = _envelope(s, {"lines": args.lines, "curves": args.curves}, flags=flags, splitting=splitting)
+    return obj, [f"splitting: {splitting}"] + [f"{key}: {str(value).lower()}" for key, value in flags.items()]
 
 
-def _cmd_log_check(args) -> int:
-    s = make_scroll(*args.scroll)
+def _cmd_log_check(args, s, b):
     arr = validate_arrangement(s, args.lines, args.curves)
     if args.claimed is None:
         claimed = log_splitting_type(arr)
@@ -329,63 +206,28 @@ def _cmd_log_check(args) -> int:
         if not isinstance(parsed, Sum):
             raise RankMismatch("the claimed splitting must be a direct sum of line bundles")
         claimed = parsed.bundle
-    (hlo, hhi), (flo, fhi) = args.twists
-    grid = tuple(
-        DivisorClass(th, tf) for th in range(hlo, hhi + 1) for tf in range(flo, fhi + 1)
-    )
-    report = residue_consistency(arr, claimed, grid)
+    report = residue_consistency(arr, claimed, _rectangle(args.twists))
     failed = [c for c in report.chi_checks if not c.ok]
     verdict = "true" if report.ok else "false"
-    if args.json:
-        _emit_json(
-            {
-                "scroll": _scroll_obj(s),
-                "input": {
-                    "lines": args.lines,
-                    "curves": args.curves,
-                    "claimed": format_bundle(Sum(claimed)),
-                },
-                "verdict": verdict,
-                "c1_ok": report.c1_check,
-                "chi_total": len(report.chi_checks),
-                "chi_failed": len(failed),
-                "witnesses": [
-                    {"twist": [c.twist.h, c.twist.f], "lhs": c.lhs, "rhs": c.rhs}
-                    for c in failed[:5]
-                ],
-                "flags": {},
-            }
-        )
-    else:
-        print(f"verdict: {verdict}")
-        print(f"c1: {'ok' if report.c1_check else 'mismatch, expected ' + str(report.c1_expected)}")
-        print(f"chi: {len(report.chi_checks) - len(failed)}/{len(report.chi_checks)} ok")
-        for c in failed[:5]:
-            print(f"chi mismatch at twist {c.twist}: claimed {c.lhs}, residue {c.rhs}")
-    return 0
+    given = {"lines": args.lines, "curves": args.curves, "claimed": format_bundle(Sum(claimed))}
+    witnesses = [{"twist": [c.twist.h, c.twist.f], "lhs": c.lhs, "rhs": c.rhs} for c in failed[:5]]
+    obj = _envelope(s, given, witnesses, verdict=verdict, c1_ok=report.c1_check,
+                    chi_total=len(report.chi_checks), chi_failed=len(failed))
+    lines = [
+        f"verdict: {verdict}",
+        f"c1: {'ok' if report.c1_check else 'mismatch, expected ' + str(report.c1_expected)}",
+        f"chi: {len(report.chi_checks) - len(failed)}/{len(report.chi_checks)} ok",
+    ]
+    return obj, lines + [f"chi mismatch at twist {c.twist}: claimed {c.lhs}, residue {c.rhs}" for c in failed[:5]]
 
 
-def _cmd_classify_log(args) -> int:
-    s = make_scroll(*args.scroll)
-    results = classify_regular_acm_log(s, args.max_lines, args.max_curves)
-    if args.json:
-        _emit_json(
-            {
-                "scroll": _scroll_obj(s),
-                "input": {"max_lines": args.max_lines, "max_curves": args.max_curves},
-                "classification": [
-                    {"lines": a, "curves": b, "splitting": format_bundle(Sum(split))}
-                    for a, b, split in results
-                ],
-                "witnesses": [],
-                "flags": {},
-            }
-        )
-    else:
-        for a, b, split in results:
-            print(f"({a},{b}): {format_bundle(Sum(split))}")
-        print(f"count: {len(results)}")
-    return 0
+def _cmd_classify_log(args, s, b):
+    found = [
+        {"lines": a, "curves": c, "splitting": format_bundle(Sum(split))}
+        for a, c, split in classify_regular_acm_log(s, args.max_lines, args.max_curves)
+    ]
+    obj = _envelope(s, {"max_lines": args.max_lines, "max_curves": args.max_curves}, classification=found)
+    return obj, [f"({r['lines']},{r['curves']}): {r['splitting']}" for r in found] + [f"count: {len(found)}"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -395,17 +237,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, scroll=True, bundle=False, divisor=False, json_flag=True):
+    def add(name, handler, help_text, bundle=False, divisor=False, json_flag=True):
         p = sub.add_parser(name, help=help_text)
-        if scroll:
-            p.add_argument("--scroll", type=_int_pair, required=True, metavar="A0,A1")
+        p.add_argument("--scroll", type=_int_pair, required=True, metavar="A0,A1")
         if divisor:
             p.add_argument("--divisor", type=_int_pair, required=True, metavar="H,F")
         if bundle:
             p.add_argument("--bundle", required=True, metavar="SPEC")
         if json_flag:
             p.add_argument("--json", action="store_true")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, json=False)
         return p
 
     add("cohomology", _cmd_cohomology, "h^i and chi of one line bundle", divisor=True)
@@ -417,8 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--pp", type=int, default=0)
 
-    add("split-h", lambda a: _cmd_split(a, decide_split_tH), "does the bundle split into h-twists of O", bundle=True)
-    add("split-acm", lambda a: _cmd_split(a, decide_split_acm3), "does it split into twists of O, O(f), O(H-f)", bundle=True)
+    add("split-h", lambda a, s, b: _cmd_split(s, b, decide_split_tH), "does the bundle split into h-twists of O", bundle=True)
+    add("split-acm", lambda a, s, b: _cmd_split(s, b, decide_split_acm3), "does it split into twists of O, O(f), O(H-f)", bundle=True)
     add("summand", _cmd_summand, "detect a distinguished line summand of a regular bundle", bundle=True)
     add("acm", _cmd_acm, "is h^1(E(tH)) = 0 for every t", bundle=True)
     add("ulrich", _cmd_ulrich, "do all h^i(E(-H)) and h^i(E(-2H)) vanish", bundle=True)
@@ -455,13 +296,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        s = Scroll(*args.scroll)
+        b = parse_bundle_spec(args.bundle) if "bundle" in args else None
+        obj, lines = args.handler(args, s, b)
+        if args.json:
+            lines = [json.dumps(obj, separators=(",", ":"))]
+        for line in lines:
+            print(line)
     except ScrollCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ParseError) else 3
+    return 0
 
 
 def console_main() -> None:

@@ -116,26 +116,16 @@ def euler_rr(s: Scroll, d: DivisorClass) -> int:
     return 1 + prod // 2
 
 
-def h1_nonvanishing(s: Scroll, d: DivisorClass) -> bool:
-    """Whether h^1(O(d)) > 0, decided without building the Sym multiset.
-
-    Only the minimal degree in the direct image matters:
-
-    * d.h >= 0:  h^1 > 0  iff  d.h*a0 + d.f <= -2,
-    * d.h = -1:  never,
-    * d.h <= -2: h^1 > 0  iff  d.f >= (-d.h - 2)*a0 + c.
-    """
-    if d.h >= 0:
-        return d.h * s.a0 + d.f <= -2
-    if d.h == -1:
-        return False
-    return d.f >= (-d.h - 2) * s.a0 + s.c
-
-
 def h1_violating_h_twists(s: Scroll, d: DivisorClass) -> tuple[tuple[int, int], ...]:
     """Closed intervals of t with h^1(O((d.h + t)H + d.f f)) != 0.
 
-    Each branch of `h1_nonvanishing` contributes at most one finite
+    Only the minimal degree in the direct image matters, so h^1(O(hH+ff))
+    is nonzero exactly when
+
+    * h >= 0 and h*a0 + f <= -2, or
+    * h <= -2 and f >= (-h - 2)*a0 + c;
+
+    never for h = -1.  Each branch contributes at most one finite
     interval, so conditions of the shape "h^1 vanishes for every twist
     t" reduce to finitely many explicit checks.
     """

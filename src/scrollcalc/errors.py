@@ -50,6 +50,10 @@ class HypothesisViolated(ScrollCalcError):
     """Classification asked for outside its hypotheses (need e = 0, c > 2)."""
 
 
+class BoundsTooSmall(ScrollCalcError, ValueError):
+    """Search bounds too small for a classification to be conclusive."""
+
+
 class RankMismatch(ScrollCalcError):
     """A claimed splitting has the wrong rank."""
 

@@ -29,13 +29,6 @@ H_BOUND = 8
 F_BOUND = 12
 
 
-def divisor_grid(h_bound: int = H_BOUND, f_bound: int = F_BOUND):
-    """All divisor classes with |h| <= h_bound, |f| <= f_bound."""
-    for h in range(-h_bound, h_bound + 1):
-        for f in range(-f_bound, f_bound + 1):
-            yield DivisorClass(h, f)
-
-
 def random_sum_bundle(
     rng: random.Random, max_rank: int = 5, h_bound: int = H_BOUND, f_bound: int = F_BOUND
 ) -> Sum:

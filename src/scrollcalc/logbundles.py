@@ -31,6 +31,7 @@ from typing import Iterable
 
 from .cohomology import LineBundleSum, euler_rr
 from .errors import (
+    BoundsTooSmall,
     HypothesisViolated,
     NegativeCount,
     RankMismatch,
@@ -172,7 +173,7 @@ def classify_regular_acm_log(
             f"classification needs a balanced scroll of degree > 2, got {s}"
         )
     if max_lines < s.c + 2 or max_curves < 3:
-        raise ValueError(
+        raise BoundsTooSmall(
             f"bounds too small to be conclusive: need max_lines >= {s.c + 2} "
             f"and max_curves >= 3"
         )

@@ -87,11 +87,6 @@ class Scroll:
         return f"S({self.a0},{self.a1})"
 
 
-def make_scroll(a0: int, a1: int) -> Scroll:
-    """Build a scroll, rejecting parameters outside 0 < a0 <= a1."""
-    return Scroll(a0, a1)
-
-
 def intersect(d1: DivisorClass, d2: DivisorClass, s: Scroll) -> int:
     """Intersection number d1.d2 under H.H = c, H.f = 1, f.f = 0."""
     return d1.h * d2.h * s.c + d1.h * d2.f + d1.f * d2.h

@@ -71,6 +71,24 @@ def test_domain_errors_exit_3(capsys):
     assert code == 3
 
 
+def test_classify_log_small_bounds_exit_3(capsys):
+    code, out, err = run(capsys, "classify-log", "--scroll", "2,2", "--max-lines", "1", "--max-curves", "4")
+    assert (code, out) == (3, "")
+    assert err == "error: bounds too small to be conclusive: need max_lines >= 6 and max_curves >= 3\n"
+
+
+@pytest.mark.parametrize("depth,code", [(200, 0), (201, 2), (1200, 2)])
+def test_ext_nesting_bound(capsys, depth, code):
+    spec = "ext(" * depth + "O(0,0)" + "; O(0,0))" * depth
+    got, out, err = run(capsys, "table", "--scroll=1,2", f"--bundle={spec}", "--twists=0:0,0:0")
+    assert got == code
+    if code == 0:
+        assert out.splitlines()[1] == f"0,0,{depth + 1},0,0,{depth + 1}"
+    else:
+        # the 201st "ext(" starts at offset 4 * 200
+        assert (out, err) == ("", "error: ext(...) nested deeper than 200 levels (at offset 800)\n")
+
+
 def test_negative_verdicts_exit_0(capsys):
     code, out, _ = run(capsys, "split-h", "--scroll", "1,2", "--bundle", "O(0,1)")
     assert code == 0

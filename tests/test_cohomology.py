@@ -15,7 +15,6 @@ from scrollcalc import (
     Scroll,
     UnsupportedCurveClass,
     euler_rr,
-    h1_nonvanishing,
     h1_violating_h_twists,
     line_cohomology,
     restricted_cohomology,
@@ -85,11 +84,6 @@ def test_four_term_resolution_chi_identity(scroll):
             - euler_rr(s, d + DivisorClass(1, 0))
         )
         assert total == 0
-
-
-@given(scrolls, divisors)
-def test_h1_nonvanishing_closed_form(s, d):
-    assert h1_nonvanishing(s, d) == (line_cohomology(s, d).h1 > 0)
 
 
 @given(scrolls, divisors)

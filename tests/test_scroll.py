@@ -8,7 +8,6 @@ from scrollcalc import (
     InvalidScroll,
     Scroll,
     intersect,
-    make_scroll,
     restriction_degree,
     serre_dual,
 )
@@ -26,7 +25,7 @@ scrolls = st.builds(
 @pytest.mark.parametrize("a0,a1", [(0, 1), (-1, 2), (2, 1), (0, 0), (3, 2)])
 def test_invalid_scrolls_rejected(a0, a1):
     with pytest.raises(InvalidScroll):
-        make_scroll(a0, a1)
+        Scroll(a0, a1)
 
 
 def test_invalid_scroll_message():
