@@ -11,9 +11,13 @@ Grammar (whitespace ignored between tokens):
 extensions 0 -> A -> E -> B -> 0.  Multiplicities multiply out into
 multisets: "2*O(0,3)" and "O(0,3)^2" both mean O(0,3) + O(0,3).
 
-"ext(" atoms nest at most MAX_EXT_DEPTH deep; a deeper one is a
-ParseError at the offending "ext" token, raised before the parser
-descends into it.
+A parsed expression is at most MAX_EXT_DEPTH Ext levels deep, counted
+on the folded tree below: "+" chains and multiplicities such as
+"N*ext(...)" add levels just as nested "ext(" atoms do.  An "ext" token
+nested past the bound is a ParseError at that token, raised before the
+parser descends into it; a term whose folding passes the bound is a
+ParseError at the start of that term, raised before its copies are
+built.
 
 A "+" of plain line-bundle terms builds one Sum.  When ext terms are
 mixed in, adjacent line-bundle runs are merged into Sums and the pieces
@@ -36,10 +40,11 @@ from .scroll import DivisorClass
 
 _PUNCT = "(),;+*^"
 
-# The parser and the evaluators recurse once per nesting level.  The
-# bound turns a deep spec into a ParseError instead of a RecursionError,
-# with room for Ext depths up to 200, the top of the roadmap's
-# depth-scaling curve.
+# The parser recurses once per "ext(" nesting level, and rank(),
+# leaves(), forced_split, the reg window and format_bundle once per Ext
+# level of the folded tree.  The bound turns a deep spec into a
+# ParseError instead of a RecursionError, with room for Ext depths up to
+# 200, the top of the roadmap's depth-scaling curve.
 MAX_EXT_DEPTH = 200
 
 
@@ -104,27 +109,50 @@ class _Parser:
             raise ParseError(f"expected a nonnegative count, found {tok[1]!r}", tok[2], ("nat",))
         return int(tok[1])
 
-    def parse_spec(self) -> BundleExpr:
-        pieces = self.parse_term()
-        while self.peek()[0] == "+":
+    def parse_spec(self) -> tuple[BundleExpr, int]:
+        """A spec folded into one expression, and its depth: the number
+        of Ext levels on its longest root-to-leaf path."""
+        pieces: list[BundleExpr] = []  # adjacent plain sums already merged
+        depth = 0  # of the left fold of `pieces`
+        while True:
+            offset = self.peek()[2]
+            atom, atom_depth, count = self.parse_term()
+            if isinstance(atom, Sum):
+                summands = atom.bundle.summands * count
+                if pieces and isinstance(pieces[-1], Sum):
+                    pieces[-1] = Sum(LineBundleSum(pieces[-1].bundle.summands + summands))
+                    count = 0
+                else:
+                    atom, count = Sum(LineBundleSum(summands)), 1
+            if count:
+                # every piece after the first adds one Ext level on top
+                depth = max(depth, atom_depth) + count if pieces else atom_depth + count - 1
+                if depth > MAX_EXT_DEPTH:
+                    raise ParseError(f"ext(...) terms fold deeper than {MAX_EXT_DEPTH} levels", offset)
+                pieces += [atom] * count
+            if self.peek()[0] != "+":
+                break
             self.advance()
-            pieces.extend(self.parse_term())
-        return _fold(pieces)
+        if not pieces:
+            return Sum(LineBundleSum(())), 0
+        out = pieces[0]
+        for piece in pieces[1:]:
+            out = Ext(out, piece)
+        return out, depth
 
-    def parse_term(self) -> list[BundleExpr]:
+    def parse_term(self) -> tuple[BundleExpr, int, int]:
+        """An atom, its depth and its multiplicity."""
         count = 1
         if self.peek()[0] == "int":
             count = self.parse_nat()
             self.expect("*")
-        atom = self.parse_atom()
+        atom, depth = self.parse_atom()
         if self.peek()[0] == "^":
             self.advance()
             count *= self.parse_nat()
-        if isinstance(atom, Sum):
-            return [Sum(LineBundleSum(atom.bundle.summands * count))]
-        return [atom] * count
+        return atom, depth, count
 
-    def parse_atom(self) -> BundleExpr:
+    def parse_atom(self) -> tuple[BundleExpr, int]:
         tok = self.peek()
         if tok[0] != "name" or tok[1] not in ("O", "ext"):
             shown = tok[1] or "end of input"
@@ -136,37 +164,22 @@ class _Parser:
             self.expect(",")
             f = self.parse_int()
             self.expect(")")
-            return Sum(LineBundleSum((DivisorClass(h, f),)))
+            return Sum(LineBundleSum((DivisorClass(h, f),))), 0
         if self.ext_depth == MAX_EXT_DEPTH:
             raise ParseError(f"ext(...) nested deeper than {MAX_EXT_DEPTH} levels", tok[2], ("O",))
         self.ext_depth += 1
-        sub = self.parse_spec()
+        sub, sub_depth = self.parse_spec()
         self.expect(";")
-        quot = self.parse_spec()
+        quot, quot_depth = self.parse_spec()
         self.expect(")")
         self.ext_depth -= 1
-        return Ext(sub, quot)
-
-
-def _fold(pieces: list[BundleExpr]) -> BundleExpr:
-    merged: list[BundleExpr] = []
-    for piece in pieces:
-        if merged and isinstance(piece, Sum) and isinstance(merged[-1], Sum):
-            merged[-1] = Sum(LineBundleSum(merged[-1].bundle.summands + piece.bundle.summands))
-        else:
-            merged.append(piece)
-    if not merged:
-        return Sum(LineBundleSum(()))
-    out = merged[0]
-    for piece in merged[1:]:
-        out = Ext(out, piece)
-    return out
+        return Ext(sub, quot), 1 + max(sub_depth, quot_depth)
 
 
 def parse_bundle_spec(text: str) -> BundleExpr:
     """Parse a bundle spec; errors carry byte offsets."""
     parser = _Parser(text)
-    expr = parser.parse_spec()
+    expr, _ = parser.parse_spec()
     tok = parser.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("+", "end"))

@@ -9,8 +9,9 @@ Every computation reduces to the base P^1 through three branches:
   Sym^(-a-2) twisted by c-b-2, with the outer degrees swapped.
 
 The degree swap in the last branch (X-degree i reads off P^1-degree 2-i)
-lives in `line_cohomology` and nowhere else; every consumer in the
-package goes through this one function.
+lives in the cached `_line_cohomology` and nowhere else; every consumer
+in the package goes through it, by way of `line_cohomology` or, for the
+per-leaf loop of `sum_cohomology`, directly.
 
 `euler_rr` is an independent oracle: it computes the Euler characteristic
 from the intersection form alone, chi(D) = 1 + D.(D-K)/2, and never
@@ -97,9 +98,10 @@ def line_cohomology(s: Scroll, d: DivisorClass) -> CohomRecord:
 
 def sum_cohomology(s: Scroll, b: LineBundleSum, twist: DivisorClass = ZERO) -> CohomRecord:
     """Componentwise cohomology of a twisted direct sum of line bundles."""
+    a0, a1, th, tf = s.a0, s.a1, twist.h, twist.f
     h0 = h1 = h2 = 0
-    for d in b:
-        rec = line_cohomology(s, d + twist)
+    for d in b.summands:
+        rec = _line_cohomology(a0, a1, d.h + th, d.f + tf)
         h0 += rec.h0
         h1 += rec.h1
         h2 += rec.h2

@@ -15,6 +15,11 @@ separately, so in particular a degree is forced exact whenever both
 flanking groups vanish.  Euler characteristics are exact and additive
 regardless of the class.
 
+`extension_cohomology` evaluates a tree iteratively, with an explicit
+stack and no recursion, so its depth is bounded by memory alone.  Every
+node, not just the root, is still checked against the `IntervalCohom`
+invariants (0 <= lo_i <= hi_i, chi inside the alternating-sum range).
+
 Predicates built on these intervals return a three-valued `Verdict`;
 `INDETERMINATE` is an ordinary outcome, not an error.
 """
@@ -107,6 +112,14 @@ def as_bundle_expr(x) -> BundleExpr:
     raise TypeError(f"cannot interpret {x!r} as a bundle expression")
 
 
+def _check_interval(lo0: int, hi0: int, lo1: int, hi1: int, lo2: int, hi2: int, chi: int) -> None:
+    for i, lo, hi in ((0, lo0, hi0), (1, lo1, hi1), (2, lo2, hi2)):
+        if not 0 <= lo <= hi:
+            raise ValueError(f"degree {i}: need 0 <= lo <= hi")
+    if not (lo0 - hi1 + lo2 <= chi <= hi0 - lo1 + hi2):
+        raise ValueError("chi falls outside the interval alternating sum")
+
+
 @dataclass(frozen=True)
 class IntervalCohom:
     """Per-degree bounds lo_i <= h^i <= hi_i together with the exact chi."""
@@ -120,11 +133,7 @@ class IntervalCohom:
     chi: int
 
     def __post_init__(self) -> None:
-        for i in range(3):
-            if not 0 <= self.lo(i) <= self.hi(i):
-                raise ValueError(f"degree {i}: need 0 <= lo <= hi")
-        if not (self.lo0 - self.hi1 + self.lo2 <= self.chi <= self.hi0 - self.lo1 + self.hi2):
-            raise ValueError("chi falls outside the interval alternating sum")
+        _check_interval(self.lo0, self.hi0, self.lo1, self.hi1, self.lo2, self.hi2, self.chi)
 
     @classmethod
     def exact(cls, h0: int, h1: int, h2: int) -> "IntervalCohom":
@@ -154,20 +163,37 @@ def extension_cohomology(s: Scroll, b, twist: DivisorClass = ZERO) -> IntervalCo
     """Interval cohomology of a bundle expression twisted by `twist`.
 
     Sums evaluate exactly; Ext nodes combine the sub and quotient
-    intervals through the long exact sequence bounds above.
+    intervals through the long exact sequence bounds above.  The tree is
+    walked in post-order from an explicit stack; intermediate values are
+    plain (lo0, hi0, lo1, hi1, lo2, hi2, chi) tuples, and only the root
+    becomes an `IntervalCohom`.
     """
-    b = as_bundle_expr(b)
-    if isinstance(b, Sum):
-        rec = sum_cohomology(s, b.bundle, twist)
-        return IntervalCohom.exact(rec.h0, rec.h1, rec.h2)
-    sub = extension_cohomology(s, b.sub, twist)
-    quot = extension_cohomology(s, b.quot, twist)
-    bounds = []
-    for i in range(3):
-        hi = sub.hi(i) + quot.hi(i)
-        lo = max(sub.lo(i) - quot.hi(i - 1), 0) + max(quot.lo(i) - sub.hi(i + 1), 0)
-        bounds.extend((lo, hi))
-    return IntervalCohom(*bounds, chi=sub.chi + quot.chi)
+    todo: list[BundleExpr | None] = [as_bundle_expr(b)]  # None: combine the top two values
+    values: list[tuple[int, int, int, int, int, int, int]] = []
+    while todo:
+        node = todo.pop()
+        if node is None:
+            ql0, qh0, ql1, qh1, ql2, qh2, qchi = values.pop()
+            sl0, sh0, sl1, sh1, sl2, sh2, schi = values.pop()
+            v = (
+                sl0 + max(ql0 - sh1, 0),
+                sh0 + qh0,
+                max(sl1 - qh0, 0) + max(ql1 - sh2, 0),
+                sh1 + qh1,
+                max(sl2 - qh1, 0) + ql2,
+                sh2 + qh2,
+                schi + qchi,
+            )
+            _check_interval(*v)
+            values.append(v)
+        elif isinstance(node, Sum):
+            # exact, so lo = hi and chi is the alternating sum; CohomRecord
+            # has already checked h^i >= 0
+            h0, h1, h2 = sum_cohomology(s, node.bundle, twist).as_tuple()
+            values.append((h0, h0, h1, h1, h2, h2, h0 - h1 + h2))
+        else:
+            todo += (None, node.quot, node.sub)
+    return IntervalCohom(*values[0])
 
 
 def ext1_dim(s: Scroll, from_: DivisorClass, to: DivisorClass) -> int:

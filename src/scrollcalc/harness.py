@@ -113,7 +113,11 @@ def run_split_harness(
             report.acm3_mismatches.append(text)
 
         for offset in offsets:
-            closed = tuple(t for t in violating_twists(s, b, offset) if lo <= t <= hi)
+            closed = tuple(
+                t
+                for t_lo, t_hi in violating_twists(s, b, offset)
+                for t in range(max(t_lo, lo), min(t_hi, hi) + 1)
+            )
             brute = brute_force_violations(s, b, offset, window)
             if closed != brute:
                 report.window_mismatches.append(f"{text} (offset {offset})")

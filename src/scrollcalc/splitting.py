@@ -104,19 +104,24 @@ def acm3_families(s: Scroll) -> tuple[tuple[str, int], ...]:
     )
 
 
-def violating_twists(s: Scroll, b: BundleExpr, offset: int) -> tuple[int, ...]:
-    """Sorted t where some leaf of b has h^1(leaf(tH + offset*f)) != 0.
+def violating_twists(s: Scroll, b: BundleExpr, offset: int) -> tuple[tuple[int, int], ...]:
+    """Closed intervals of t where some leaf of b has h^1(leaf(tH + offset*f)) != 0.
 
-    For a Sum this is exactly the violating set (h^1 is additive, no
-    cancellation); for an Ext it is the support of the upper bound, so
-    nothing outside it can ever be nonzero.
+    The intervals are sorted, disjoint and not adjacent: overlapping or
+    touching leaf intervals are merged.  For a Sum their union is exactly
+    the violating set (h^1 is additive, no cancellation); for an Ext it
+    is the support of the upper bound, so nothing outside it can ever be
+    nonzero.
     """
-    ts: set[int] = set()
     shift = DivisorClass(0, offset)
-    for d in b.leaves():
-        for lo, hi in h1_violating_h_twists(s, d + shift):
-            ts.update(range(lo, hi + 1))
-    return tuple(sorted(ts))
+    leaf_intervals = sorted(iv for d in b.leaves() for iv in h1_violating_h_twists(s, d + shift))
+    merged: list[tuple[int, int]] = []
+    for lo, hi in leaf_intervals:
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
 
 
 def _scan_families(
@@ -126,12 +131,13 @@ def _scan_families(
     unresolved probes encountered along the way."""
     unresolved = []
     for name, offset in families:
-        for t in violating_twists(s, b, offset):
-            iv = extension_cohomology(s, b, DivisorClass(t, offset))
-            if iv.lo(1) > 0:
-                return FailureWitness(name, t, iv.lo(1)), ()
-            if iv.hi(1) > 0:
-                unresolved.append(Probe(name, DivisorClass(t, offset), iv.lo(1), iv.hi(1)))
+        for lo, hi in violating_twists(s, b, offset):
+            for t in range(lo, hi + 1):
+                iv = extension_cohomology(s, b, DivisorClass(t, offset))
+                if iv.lo(1) > 0:
+                    return FailureWitness(name, t, iv.lo(1)), ()
+                if iv.hi(1) > 0:
+                    unresolved.append(Probe(name, DivisorClass(t, offset), iv.lo(1), iv.hi(1)))
     return None, tuple(unresolved)
 
 

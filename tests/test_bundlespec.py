@@ -1,6 +1,9 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
+from scrollcalc import bundlespec
 from scrollcalc import (
     DivisorClass,
     Ext,
@@ -97,3 +100,69 @@ def test_round_trip_preserves_structure(b):
     parsed = parse_bundle_spec(format_bundle(b))
     assert parsed.rank() == b.rank()
     assert sorted(parsed.leaves()) == sorted(b.leaves())
+
+
+EXT1 = "ext(O(0,0); O(0,0))"
+
+
+@pytest.mark.parametrize(
+    "text,offset",
+    [
+        (f"201*{EXT1}", 0),
+        (f"{EXT1}^201", 0),
+        (f"{EXT1}^1000000000", 0),
+        (f"O(0,0) + 200*{EXT1}", 9),
+        (" + ".join([EXT1] * 201), 22 * 200),
+        # the first piece adds no level, so the 201st level is the O(0,1)
+        # of the 101st pair
+        (" + ".join(["O(0,1) + " + EXT1] * 101), 31 * 100),
+        (f"ext(200*{EXT1}; O(0,0))", 0),
+    ],
+    ids=["count", "power", "huge-power", "sum-then-count", "plus", "alternating", "nested-count"],
+)
+def test_folded_depth_bound(text, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_bundle_spec(text)
+    assert str(exc.value) == f"ext(...) terms fold deeper than 200 levels (at offset {offset})"
+
+
+@pytest.mark.parametrize(
+    "text,rank",
+    [(f"200*{EXT1}", 400), (f"O(0,0) + 199*{EXT1}", 399), (" + ".join([EXT1] * 200), 400)],
+    ids=["count", "sum-then-count", "plus"],
+)
+def test_folded_depth_at_bound_parses(text, rank):
+    assert parse_bundle_spec(text).rank() == rank
+
+
+def _ext_depth(b):
+    return 0 if isinstance(b, Sum) else 1 + max(_ext_depth(b.sub), _ext_depth(b.quot))
+
+
+def _specs(atoms):
+    # an ext term multiplied by 0 is still parsed and bounded, but leaves
+    # no trace in the tree, so ext terms get a positive count here
+    return st.lists(st.tuples(st.integers(0, 3), atoms), min_size=1, max_size=4).map(
+        lambda terms: " + ".join(f"{max(n, int(a.startswith('ext')))}*{a}" for n, a in terms)
+    )
+
+
+_atoms = st.recursive(
+    st.sampled_from(["O(0,1)", "O(1,0)"]),
+    lambda inner: st.builds(lambda a, b: f"ext({a}; {b})", _specs(inner), _specs(inner)),
+    max_leaves=8,
+)
+
+
+@given(_specs(_atoms))
+def test_depth_bound_counts_the_folded_tree(text):
+    b = parse_bundle_spec(text)
+    with mock.patch.object(bundlespec, "MAX_EXT_DEPTH", 3):
+        try:
+            bounded = parse_bundle_spec(text)
+        except ParseError:
+            bounded = None
+    if _ext_depth(b) <= 3:
+        assert bounded is not None and format_bundle(bounded) == format_bundle(b)
+    else:
+        assert bounded is None

@@ -89,6 +89,28 @@ def test_ext_nesting_bound(capsys, depth, code):
         assert (out, err) == ("", "error: ext(...) nested deeper than 200 levels (at offset 800)\n")
 
 
+DEEP_FOLDS = {
+    "multiplicity": "1200*ext(O(0,0); O(0,0))",
+    "plus": " + ".join(["ext(O(0,0); O(0,0))"] * 1200),
+}
+FOLD_COMMANDS = {"table": ("--twists=0:0,0:0",), "regularity": (), "split-h": (), "acm": ()}
+
+
+@pytest.mark.parametrize("how", sorted(DEEP_FOLDS))
+@pytest.mark.parametrize("command", sorted(FOLD_COMMANDS))
+def test_deep_folded_specs_exit_2(capsys, command, how):
+    code, out, err = run(capsys, command, "--scroll=1,2", f"--bundle={DEEP_FOLDS[how]}", *FOLD_COMMANDS[command])
+    offset = 0 if how == "multiplicity" else 22 * 200
+    assert (code, out) == (2, "")
+    assert err == f"error: ext(...) terms fold deeper than 200 levels (at offset {offset})\n"
+
+
+@pytest.mark.parametrize("command", sorted(FOLD_COMMANDS))
+def test_folded_spec_at_bound_exits_0(capsys, command):
+    code, out, _ = run(capsys, command, "--scroll=1,2", "--bundle=200*ext(O(0,0); O(0,0))", *FOLD_COMMANDS[command])
+    assert code == 0 and out
+
+
 def test_negative_verdicts_exit_0(capsys):
     code, out, _ = run(capsys, "split-h", "--scroll", "1,2", "--bundle", "O(0,1)")
     assert code == 0

@@ -7,7 +7,7 @@ exact values must always land inside; chi must match exactly.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from scrollcalc import (
     DivisorClass,
@@ -23,6 +23,7 @@ from scrollcalc import (
     extension_cohomology,
     forced_split,
     line_bundle,
+    line_cohomology,
     sum_cohomology,
 )
 
@@ -143,6 +144,56 @@ def test_ext_rank_and_leaves(s, sub, quot):
     e = Ext(sub, quot)
     assert e.rank() == sub.rank() + quot.rank()
     assert sorted(e.leaves()) == sorted(sub.leaves() + quot.leaves())
+
+
+def reference_cohomology(s, b, t):
+    """The module-docstring bounds, evaluated recursively from the leaves'
+    line cohomology: ([lo_0, lo_1, lo_2], [hi_0, hi_1, hi_2], chi)."""
+    if isinstance(b, Sum):
+        h = [sum(line_cohomology(s, d + t)[i] for d in b.leaves()) for i in range(3)]
+        return h, h, h[0] - h[1] + h[2]
+    slo, shi, schi = reference_cohomology(s, b.sub, t)
+    qlo, qhi, qchi = reference_cohomology(s, b.quot, t)
+
+    def at(v, i):
+        return v[i] if 0 <= i <= 2 else 0
+
+    lo = [max(at(slo, i) - at(qhi, i - 1), 0) + max(at(qlo, i) - at(shi, i + 1), 0) for i in range(3)]
+    hi = [shi[i] + qhi[i] for i in range(3)]
+    return lo, hi, schi + qchi
+
+
+@seed(20260301)
+@settings(max_examples=200, deadline=None)
+@given(scrolls, exprs(5), divisors)
+def test_kernel_matches_recursive_reference(s, b, t):
+    iv = extension_cohomology(s, b, t)
+    assert ([iv.lo(i) for i in range(3)], [iv.hi(i) for i in range(3)], iv.chi) == reference_cohomology(s, b, t)
+
+
+@seed(20260302)
+@settings(max_examples=150, deadline=None)
+@given(scrolls, exprs(5), divisors)
+def test_deep_interval_contains_split_value(s, b, t):
+    iv = extension_cohomology(s, b, t)
+    flat = sum_cohomology(s, LineBundleSum(b.leaves()), t)
+    assert all(iv.lo(i) <= flat[i] <= iv.hi(i) for i in range(3))
+    assert iv.chi == flat.chi
+
+
+def test_deep_chain_evaluates_without_recursion():
+    # built directly, so no parser bound applies; 10,000 Ext levels are
+    # far past the interpreter's recursion limit
+    s = Scroll(1, 2)
+    leaves = [DivisorClass(k % 5 - 2, k % 7 - 3) for k in range(10_001)]
+    b = line_bundle(leaves[0].h, leaves[0].f)
+    for d in leaves[1:]:
+        b = Ext(b, line_bundle(d.h, d.f))
+    t = DivisorClass(-1, 1)
+    iv = extension_cohomology(s, b, t)
+    flat = sum_cohomology(s, LineBundleSum(tuple(leaves)), t)
+    assert (iv.hi0, iv.hi1, iv.hi2) == flat.as_tuple()
+    assert iv.chi == flat.chi
 
 
 def test_verdict_values():

@@ -101,8 +101,16 @@ def test_family_twist_offsets(scroll):
 @settings(max_examples=150)
 def test_violating_twists_match_brute_force(s, ds, offset):
     b = bundle_sum(*ds)
-    closed = [t for t in violating_twists(s, b, offset) if -15 <= t <= 15]
+    closed = [t for lo, hi in violating_twists(s, b, offset) for t in range(max(lo, -15), min(hi, 15) + 1)]
     assert closed == list(brute_force_violations(s, b, offset, (-15, 15)))
+
+
+@given(scrolls, st.lists(divisors, min_size=1, max_size=6), st.sampled_from([-1, 0, 1, 2]))
+def test_violating_twists_are_merged_intervals(s, ds, offset):
+    intervals = violating_twists(s, bundle_sum(*ds), offset)
+    assert all(lo <= hi for lo, hi in intervals)
+    # sorted, and a gap of at least one twist between neighbours
+    assert all(a[1] + 1 < b[0] for a, b in zip(intervals, intervals[1:]))
 
 
 @given(scrolls, st.integers(min_value=0, max_value=400))
