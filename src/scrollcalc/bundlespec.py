@@ -40,11 +40,11 @@ from .scroll import DivisorClass
 
 _PUNCT = "(),;+*^"
 
-# The parser recurses once per "ext(" nesting level, and rank(),
-# leaves(), forced_split, the reg window and format_bundle once per Ext
-# level of the folded tree.  The bound turns a deep spec into a
-# ParseError instead of a RecursionError, with room for Ext depths up to
-# 200, the top of the roadmap's depth-scaling curve.
+# The parser recurses once per "ext(" nesting level, and forced_split
+# and format_bundle once per Ext level of the folded tree.  The bound
+# turns a deep spec into a ParseError instead of a RecursionError, with
+# room for Ext depths up to 200, the top of the roadmap's depth-scaling
+# curve.
 MAX_EXT_DEPTH = 200
 
 

@@ -19,6 +19,7 @@ domain errors such as invalid scrolls or unsupported arrangements.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -230,6 +231,7 @@ def _cmd_classify_log(args, s, b):
     return obj, [f"({r['lines']},{r['curves']}): {r['splitting']}" for r in found] + [f"count: {len(found)}"]
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scrollcalc",
@@ -290,9 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

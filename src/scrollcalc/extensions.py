@@ -15,10 +15,11 @@ separately, so in particular a degree is forced exact whenever both
 flanking groups vanish.  Euler characteristics are exact and additive
 regardless of the class.
 
-`extension_cohomology` evaluates a tree iteratively, with an explicit
-stack and no recursion, so its depth is bounded by memory alone.  Every
-node, not just the root, is still checked against the `IntervalCohom`
-invariants (0 <= lo_i <= hi_i, chi inside the alternating-sum range).
+`extension_cohomology`, `rank()` and `leaves()` walk a tree iteratively,
+with an explicit stack and no recursion, so its depth is bounded by
+memory alone.  Every node, not just the root, is still checked against
+the `IntervalCohom` invariants (0 <= lo_i <= hi_i, chi inside the
+alternating-sum range).
 
 Predicates built on these intervals return a three-valued `Verdict`;
 `INDETERMINATE` is an ordinary outcome, not an error.
@@ -27,6 +28,7 @@ Predicates built on these intervals return a three-valued `Verdict`;
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cohomology import LineBundleSum, line_cohomology, sum_cohomology
@@ -87,10 +89,20 @@ class Ext(BundleExpr):
     quot: BundleExpr
 
     def rank(self) -> int:
-        return self.sub.rank() + self.quot.rank()
+        return sum(node.bundle.rank for node in self._sums())
 
     def leaves(self) -> tuple[DivisorClass, ...]:
-        return self.sub.leaves() + self.quot.leaves()
+        return tuple(d for node in self._sums() for d in node.bundle.summands)
+
+    def _sums(self) -> Iterator[Sum]:
+        """The Sum nodes left to right, walked from an explicit stack."""
+        todo: list[BundleExpr] = [self]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, Ext):
+                todo += (node.quot, node.sub)
+            else:
+                yield node
 
 
 def line_bundle(h: int, f: int) -> Sum:

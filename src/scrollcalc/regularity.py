@@ -12,9 +12,17 @@ O(aH + bf) the three probes collapse to the closed region
     regular  iff  a >= 0 and b >= -a*a0,
 
 whence Reg(O(aH+bf)) = max(-a, ceil(-b/a0) - a); a direct sum is regular
-exactly when each summand is, so for Sum inputs the search window is a
-single point.  For extension classes the probes are interval valued and
-the verdict may be indeterminate.
+exactly when each summand is.  For extension classes the probes are
+interval valued and the verdict may be indeterminate.
+
+`reg` decides the least p from two twists, not from a scan.  The upper
+bound hi_i of an Ext node is the sum of its children's, so at any twist
+the root's hi_i is the exact h^i of the direct sum of the leaves.  The
+test is TRUE exactly when all three hi vanish, that is when every leaf
+is regular: exactly for p >= r = max line_bundle_reg over the leaves.
+An upward scan therefore first meets TRUE at r.  It returns r unless
+the verdict just below, at r - 1, is INDETERMINATE; a FALSE there
+certifies that no member of the class is regular at r - 1.
 """
 
 from __future__ import annotations
@@ -23,10 +31,8 @@ from dataclasses import dataclass
 
 from .errors import EmptyBundle
 from .extensions import (
-    BundleExpr,
     Ext,
     Probe,
-    Sum,
     Verdict,
     as_bundle_expr,
     extension_cohomology,
@@ -100,37 +106,23 @@ def line_bundle_reg(s: Scroll, d: DivisorClass) -> int:
     return max(-d.h, -(d.f // s.a0) - d.h)
 
 
-def _reg_window(s: Scroll, b: BundleExpr) -> tuple[int, int]:
-    if isinstance(b, Sum):
-        r = max(line_bundle_reg(s, d) for d in b.leaves())
-        return (r, r)
-    assert isinstance(b, Ext)
-    sub_lo, sub_hi = _reg_window(s, b.sub)
-    quot_lo, quot_hi = _reg_window(s, b.quot)
-    return (min(sub_lo, quot_lo) - 1, max(sub_hi, quot_hi) + 1)
-
-
 def reg(s: Scroll, b) -> int | Verdict:
-    """Least p with is_pp_regular(s, b, p, 0) TRUE.
+    """Least p with is_pp_regular(s, b, p, 0) TRUE, or INDETERMINATE.
 
-    Searches upward from a window derived leafwise (closed form for
-    sums, the union of the sub/quot windows widened by 1 for extension
-    classes).  Returns Verdict.INDETERMINATE when an unresolved probe
-    below the first certified-regular twist prevents naming the least p;
-    a definite failure resets that uncertainty, since regularity is
-    monotone in p for every member of the class.
+    Each probe's hi is a sum over the leaves, so the test is first TRUE
+    at r = max line_bundle_reg over the leaves (module docstring), and
+    r - 1 decides the answer: a FALSE there names r, since regularity
+    is monotone in p for every member of the class, while an
+    INDETERMINATE leaves the least p unknown.  Sums are exact, so only
+    Ext inputs are probed at r - 1.
     """
     b = as_bundle_expr(b)
-    if b.rank() == 0:
+    leaves = b.leaves()
+    if not leaves:
         raise EmptyBundle("Reg of the zero bundle is not defined")
-    lo, hi = _reg_window(s, b)
-    pending_unknown = False
-    for p in range(lo, hi + 1):
-        report = is_pp_regular(s, b, p, 0)
-        if report.verdict is Verdict.TRUE:
-            return Verdict.INDETERMINATE if pending_unknown else p
-        if report.verdict is Verdict.FALSE:
-            pending_unknown = False
-        else:
-            pending_unknown = True
-    raise AssertionError("regularity search window failed to close")
+    r = max(line_bundle_reg(s, d) for d in leaves)
+    if is_pp_regular(s, b, r, 0).verdict is not Verdict.TRUE:
+        raise AssertionError("the direct sum's regularity failed to certify the class")
+    if isinstance(b, Ext) and is_pp_regular(s, b, r - 1, 0).verdict is Verdict.INDETERMINATE:
+        return Verdict.INDETERMINATE
+    return r

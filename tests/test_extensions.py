@@ -22,8 +22,10 @@ from scrollcalc import (
     ext1_dim,
     extension_cohomology,
     forced_split,
+    is_acm,
     line_bundle,
     line_cohomology,
+    reg,
     sum_cohomology,
 )
 
@@ -194,6 +196,23 @@ def test_deep_chain_evaluates_without_recursion():
     flat = sum_cohomology(s, LineBundleSum(tuple(leaves)), t)
     assert (iv.hi0, iv.hi1, iv.hi2) == flat.as_tuple()
     assert iv.chi == flat.chi
+
+
+def test_deep_chain_decides_without_recursion():
+    # O(1,0), then O(0,0) and O(0,-2) alternating, 10,001 leaves in all.
+    # On S(1,2) the top quotient O(0,-2) forces h^1(E) >= 1 (its h^1 is 1
+    # and no sub leaf has h^2), so E is not ACM at t = 0; Reg of the sum
+    # is 2, and at p = 1 the same leaf forces h^1(E(H-f)) >= 1.
+    s = Scroll(1, 2)
+    leaves = [DivisorClass(1, 0)] + [DivisorClass(0, -2 if k % 2 == 0 else 0) for k in range(1, 10_001)]
+    b = line_bundle(1, 0)
+    for d in leaves[1:]:
+        b = Ext(b, line_bundle(d.h, d.f))
+    assert b.rank() == 10_001
+    assert b.leaves() == tuple(leaves)
+    assert reg(s, b) == 2
+    v = is_acm(s, b)
+    assert (v.verdict, v.witness_t, v.witness_value) == (Verdict.FALSE, 0, 1)
 
 
 def test_verdict_values():

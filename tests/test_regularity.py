@@ -7,7 +7,7 @@ curve restrictions, global generation numerics, twist stability.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from scrollcalc import (
     DivisorClass,
@@ -28,6 +28,7 @@ from scrollcalc import (
     restricted_cohomology,
     sum_cohomology,
 )
+from scrollcalc import regularity
 
 from conftest import TEST_SCROLLS
 
@@ -35,6 +36,14 @@ scrolls = st.sampled_from(TEST_SCROLLS)
 divisors = st.builds(
     DivisorClass, st.integers(min_value=-6, max_value=6), st.integers(min_value=-9, max_value=9)
 )
+sums = st.lists(divisors, min_size=1, max_size=3).map(lambda ds: bundle_sum(*ds))
+
+
+def exprs(depth):
+    if depth == 0:
+        return sums
+    inner = exprs(depth - 1)
+    return st.one_of(sums, st.builds(Ext, inner, inner))
 
 
 def grid(h_bound=8, f_bound=12):
@@ -145,3 +154,47 @@ def test_reg_witnesses_record_failing_probe():
     report = is_regular(s, bundle_sum(DivisorClass(0, -1)))
     assert report.verdict is Verdict.FALSE
     assert any(p.lo > 0 for p in report.failing())
+
+
+def window_scan_reg(s, b):
+    """Reference Reg: scan p upward over a window widened by one per Ext
+    level, remembering an unresolved verdict below the first TRUE."""
+
+    def window(b):
+        if isinstance(b, Ext):
+            (sub_lo, sub_hi), (quot_lo, quot_hi) = window(b.sub), window(b.quot)
+            return min(sub_lo, quot_lo) - 1, max(sub_hi, quot_hi) + 1
+        r = max(line_bundle_reg(s, d) for d in b.leaves())
+        return r, r
+
+    lo, hi = window(b)
+    pending_unknown = False
+    for p in range(lo, hi + 1):
+        verdict = is_pp_regular(s, b, p, 0).verdict
+        if verdict is Verdict.TRUE:
+            return Verdict.INDETERMINATE if pending_unknown else p
+        pending_unknown = verdict is Verdict.INDETERMINATE
+    raise AssertionError("the window holds no regular twist")
+
+
+@seed(20260401)
+@settings(max_examples=300, deadline=None)
+@given(scrolls, exprs(5))
+def test_reg_matches_window_scan(s, b):
+    assert reg(s, b) == window_scan_reg(s, b)
+
+
+def test_reg_probes_at_most_two_twists(monkeypatch):
+    s = Scroll(1, 2)
+    b = line_bundle(0, 0)
+    for _ in range(200):
+        b = Ext(b, line_bundle(0, 0))
+    probed = []
+
+    def counting(s, b, p=0, pp=0):
+        probed.append(p)
+        return is_pp_regular(s, b, p, pp)
+
+    monkeypatch.setattr(regularity, "is_pp_regular", counting)
+    assert reg(s, b) == 0
+    assert len(probed) <= 2
