@@ -40,8 +40,8 @@ from .scroll import DivisorClass
 
 _PUNCT = "(),;+*^"
 
-# The parser recurses once per "ext(" nesting level, and forced_split
-# and format_bundle once per Ext level of the folded tree.  The bound
+# The parser recurses once per "ext(" nesting level, and format_bundle
+# once per Ext level of the folded tree.  The bound
 # turns a deep spec into a ParseError instead of a RecursionError, with
 # room for Ext depths up to 200, the top of the roadmap's depth-scaling
 # curve.

@@ -128,8 +128,8 @@ def _cmd_split(s, b, decide):
         lines.append(f"splitting: {splitting}")
     if verdict.failure is not None:
         w = verdict.failure
-        witnesses.append({"condition": w.condition, "t": w.t, "value": w.value})
-        lines.append(f"witness: {w.condition} at t = {w.t}, value {w.value}")
+        witnesses.append({"condition": w.name, "t": w.twist.h, "value": w.lo})
+        lines.append(f"witness: {w.name} at t = {w.twist.h}, value {w.lo}")
     witnesses.extend(_probe_obj(p) for p in verdict.probes)
     lines.extend(f"unresolved: {p.describe()}" for p in verdict.probes)
     if verdict.note:
@@ -156,9 +156,10 @@ def _cmd_summand(args, s, b):
 def _cmd_acm(args, s, b):
     result = is_acm(s, b)
     witnesses, lines = [], [f"verdict: {result.verdict.value}"]
-    if result.witness_t is not None:
-        witnesses.append({"t": result.witness_t, "value": result.witness_value})
-        lines.append(f"witness: t = {result.witness_t}, h1 = {result.witness_value}")
+    if result.witness is not None:
+        w = result.witness
+        witnesses.append({"t": w.twist.h, "value": w.lo})
+        lines.append(f"witness: t = {w.twist.h}, h1 = {w.lo}")
     witnesses.extend(_probe_obj(p) for p in result.probes)
     lines.extend(f"unresolved: {p.describe()}" for p in result.probes)
     return _envelope(s, format_bundle(b), witnesses, verdict=result.verdict.value), lines

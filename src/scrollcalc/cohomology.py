@@ -65,9 +65,6 @@ class LineBundleSum:
     def rank(self) -> int:
         return len(self.summands)
 
-    def twist(self, t: DivisorClass) -> "LineBundleSum":
-        return LineBundleSum(tuple(d + t for d in self.summands))
-
     def c1(self) -> DivisorClass:
         out = ZERO
         for d in self.summands:

@@ -21,14 +21,19 @@ memory alone.  Every node, not just the root, is still checked against
 the `IntervalCohom` invariants (0 <= lo_i <= hi_i, chi inside the
 alternating-sum range).
 
-Predicates built on these intervals return a three-valued `Verdict`;
-`INDETERMINATE` is an ordinary outcome, not an error.
+Every decision procedure in the package (regularity, splitting, ACM,
+Ulrich, summand detection) asks whether finitely many h^i vanish, and
+they all read the answer with one rule, `_judge`, over `Probe`s built
+by `_probe`: FALSE as soon as some probe has lo > 0, which refutes
+every member of the class; otherwise TRUE when every hi is 0, which
+certifies every member; otherwise INDETERMINATE, with the probes whose
+hi > 0.  `INDETERMINATE` is an ordinary outcome, not an error.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .cohomology import LineBundleSum, line_cohomology, sum_cohomology
@@ -60,6 +65,16 @@ class Probe:
     def describe(self) -> str:
         value = str(self.lo) if self.forced else f"[{self.lo},{self.hi}]"
         return f"{self.name} at twist {self.twist} = {value}"
+
+
+@dataclass(frozen=True)
+class ProbeVerdict:
+    """A verdict read off probes: FALSE carries the refuting probe as its
+    witness, INDETERMINATE the unresolved probes."""
+
+    verdict: Verdict
+    witness: Probe | None = None
+    probes: tuple[Probe, ...] = ()
 
 
 class BundleExpr:
@@ -208,6 +223,29 @@ def extension_cohomology(s: Scroll, b, twist: DivisorClass = ZERO) -> IntervalCo
     return IntervalCohom(*values[0])
 
 
+def _probe(s: Scroll, b, name: str, twist: DivisorClass, degree: int) -> Probe:
+    """The interval of h^degree(b(twist)), as a named probe."""
+    iv = extension_cohomology(s, b, twist)
+    return Probe(name, twist, iv.lo(degree), iv.hi(degree))
+
+
+def _judge(probes: Iterable[Probe]) -> ProbeVerdict:
+    """The vanishing rule of the module docstring.
+
+    Probes are read lazily, so no probe after a refuting one is ever
+    evaluated.
+    """
+    unresolved = []
+    for pr in probes:
+        if pr.lo > 0:
+            return ProbeVerdict(Verdict.FALSE, witness=pr)
+        if pr.hi > 0:
+            unresolved.append(pr)
+    if unresolved:
+        return ProbeVerdict(Verdict.INDETERMINATE, probes=tuple(unresolved))
+    return ProbeVerdict(Verdict.TRUE)
+
+
 def ext1_dim(s: Scroll, from_: DivisorClass, to: DivisorClass) -> int:
     """dim Ext^1(O(from_), O(to)) = h^1(O(to - from_))."""
     return line_cohomology(s, to - from_).h1
@@ -217,15 +255,18 @@ def forced_split(s: Scroll, b: BundleExpr) -> bool:
     """True when every extension class in the expression must vanish.
 
     Checked leafwise: if Ext^1 between each quotient leaf and each sub
-    leaf is zero at every node, the only member of the class is the
-    direct sum of the leaves.
+    leaf is zero at every Ext node, the only member of the class is the
+    direct sum of the leaves.  Two leaves of different Sum nodes meet at
+    exactly one Ext node, with the leaf further left on its sub side, so
+    the Sum nodes are walked left to right and each distinct leaf of one
+    is checked against each distinct leaf of the Sums before it.
     """
     if isinstance(b, Sum):
         return True
-    if not (forced_split(s, b.sub) and forced_split(s, b.quot)):
-        return False
-    return all(
-        ext1_dim(s, q, t) == 0
-        for q in b.quot.leaves()
-        for t in b.sub.leaves()
-    )
+    earlier: set[DivisorClass] = set()
+    for node in b._sums():
+        here = set(node.bundle.summands)
+        if any(ext1_dim(s, q, t) for q in here for t in earlier):
+            return False
+        earlier |= here
+    return True

@@ -30,13 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyBundle
-from .extensions import (
-    Ext,
-    Probe,
-    Verdict,
-    as_bundle_expr,
-    extension_cohomology,
-)
+from .extensions import Ext, Probe, Verdict, _judge, _probe, as_bundle_expr
 from .scroll import DivisorClass, Scroll
 
 
@@ -62,24 +56,14 @@ class RegularityReport:
 def is_pp_regular(s: Scroll, b, p: int = 0, pp: int = 0) -> RegularityReport:
     """Run the three-probe regularity test on b(pH + p'f).
 
-    TRUE needs every probe forced to zero; FALSE needs some probe with a
-    positive lower bound; anything else is INDETERMINATE.  Sum inputs
-    always resolve one way or the other.
+    All three probes are evaluated and reported; the verdict is the
+    extensions module's vanishing rule over them.  Sum inputs always
+    resolve one way or the other.
     """
     b = as_bundle_expr(b)
     base = DivisorClass(p, pp)
-    probes = []
-    for name, shift, degree in _probe_plan(s):
-        tw = base + shift
-        iv = extension_cohomology(s, b, tw)
-        probes.append(Probe(name, tw, iv.lo(degree), iv.hi(degree)))
-    if any(pr.lo > 0 for pr in probes):
-        verdict = Verdict.FALSE
-    elif all(pr.hi == 0 for pr in probes):
-        verdict = Verdict.TRUE
-    else:
-        verdict = Verdict.INDETERMINATE
-    return RegularityReport(verdict, tuple(probes))
+    probes = tuple(_probe(s, b, name, base + shift, degree) for name, shift, degree in _probe_plan(s))
+    return RegularityReport(_judge(probes).verdict, probes)
 
 
 def is_regular(s: Scroll, b) -> RegularityReport:

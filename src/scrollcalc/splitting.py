@@ -20,11 +20,17 @@ means all six of h^i(E(-H)) = h^i(E(-2H)) = 0; `make_ulrich` assembles
 Ulrich bundles of any splitting-rank pair (a, b) as extension classes of
 O((c-1)f)^b by O(H-f)^a; `detect_line_summand` reads a distinguished
 direct summand off the way E(-H) fails regularity.
+
+Each decision reads its probes with the extensions module's one
+vanishing rule, and every failure witness is a `Probe`: the probe's
+name, its twist (t is `twist.h` for the twist families) and `lo`, a
+lower bound on the failing h^i, exact for Sum inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 from .cohomology import LineBundleSum, h1_violating_h_twists
 from .errors import EmptyBundle, NegativeCount, NotRegular
@@ -32,11 +38,13 @@ from .extensions import (
     BundleExpr,
     Ext,
     Probe,
+    ProbeVerdict,
     Sum,
     Verdict,
+    _judge,
+    _probe,
     as_bundle_expr,
     bundle_sum,
-    extension_cohomology,
     forced_split,
 )
 from .regularity import is_regular
@@ -44,36 +52,12 @@ from .scroll import DivisorClass, Scroll
 
 
 @dataclass(frozen=True)
-class FailureWitness:
-    """A twist where a required h^1 is provably nonzero."""
-
-    condition: str
-    t: int
-    value: int  # exact for Sum inputs, a lower bound for Ext inputs
-
-
-@dataclass(frozen=True)
 class SplitVerdict:
     outcome: Verdict  # TRUE = splits, FALSE = fails
     witness: LineBundleSum | None = None
-    failure: FailureWitness | None = None
+    failure: Probe | None = None
     probes: tuple[Probe, ...] = ()
     note: str = ""
-
-
-@dataclass(frozen=True)
-class AcmVerdict:
-    verdict: Verdict
-    witness_t: int | None = None
-    witness_value: int | None = None
-    probes: tuple[Probe, ...] = ()
-
-
-@dataclass(frozen=True)
-class UlrichVerdict:
-    verdict: Verdict
-    witness: Probe | None = None
-    probes: tuple[Probe, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -124,32 +108,24 @@ def violating_twists(s: Scroll, b: BundleExpr, offset: int) -> tuple[tuple[int, 
     return tuple(merged)
 
 
-def _scan_families(
-    s: Scroll, b: BundleExpr, families: tuple[tuple[str, int], ...]
-) -> tuple[FailureWitness | None, tuple[Probe, ...]]:
-    """First definite failure (family-major, t ascending) and any
-    unresolved probes encountered along the way."""
-    unresolved = []
+def _scan_families(s: Scroll, b: BundleExpr, families: tuple[tuple[str, int], ...]) -> Iterator[Probe]:
+    """The h^1 probes of every violating twist, family-major, t ascending.
+
+    Lazy, so a judge that stops at a failure evaluates nothing past it.
+    """
     for name, offset in families:
         for lo, hi in violating_twists(s, b, offset):
             for t in range(lo, hi + 1):
-                iv = extension_cohomology(s, b, DivisorClass(t, offset))
-                if iv.lo(1) > 0:
-                    return FailureWitness(name, t, iv.lo(1)), ()
-                if iv.hi(1) > 0:
-                    unresolved.append(Probe(name, DivisorClass(t, offset), iv.lo(1), iv.hi(1)))
-    return None, tuple(unresolved)
+                yield _probe(s, b, name, DivisorClass(t, offset), 1)
 
 
 def _decide(s: Scroll, b, families) -> SplitVerdict:
     b = as_bundle_expr(b)
     if b.rank() == 0:
         raise EmptyBundle("splitting criteria need a bundle of positive rank")
-    failure, unresolved = _scan_families(s, b, families)
-    if failure is not None:
-        return SplitVerdict(Verdict.FALSE, failure=failure)
-    if unresolved:
-        return SplitVerdict(Verdict.INDETERMINATE, probes=unresolved)
+    judged = _judge(_scan_families(s, b, families))
+    if judged.verdict is not Verdict.TRUE:
+        return SplitVerdict(judged.verdict, failure=judged.witness, probes=judged.probes)
     # conditions hold for every member of the class; the summand multiset
     # is the leaf multiset exactly when no extension class can be nonzero
     if forced_split(s, b):
@@ -170,17 +146,12 @@ def decide_split_acm3(s: Scroll, b) -> SplitVerdict:
     return _decide(s, b, acm3_families(s))
 
 
-def is_acm(s: Scroll, b) -> AcmVerdict:
+def is_acm(s: Scroll, b) -> ProbeVerdict:
     """Whether h^1(b(tH)) vanishes for every integer t."""
     b = as_bundle_expr(b)
     if b.rank() == 0:
         raise EmptyBundle("the ACM test needs a bundle of positive rank")
-    failure, unresolved = _scan_families(s, b, (("h1(E(tH))", 0),))
-    if failure is not None:
-        return AcmVerdict(Verdict.FALSE, witness_t=failure.t, witness_value=failure.value)
-    if unresolved:
-        return AcmVerdict(Verdict.INDETERMINATE, probes=unresolved)
-    return AcmVerdict(Verdict.TRUE)
+    return _judge(_scan_families(s, b, (("h1(E(tH))", 0),)))
 
 
 def _ulrich_probe_plan() -> tuple[tuple[str, DivisorClass, int], ...]:
@@ -191,22 +162,18 @@ def _ulrich_probe_plan() -> tuple[tuple[str, DivisorClass, int], ...]:
     return tuple(plan)
 
 
-def is_ulrich(s: Scroll, b) -> UlrichVerdict:
-    """Whether all of h^i(b(-H)) and h^i(b(-2H)) vanish, i = 0, 1, 2."""
+def is_ulrich(s: Scroll, b) -> ProbeVerdict:
+    """Whether all of h^i(b(-H)) and h^i(b(-2H)) vanish, i = 0, 1, 2.
+
+    All six probes are evaluated; a TRUE or FALSE verdict carries all
+    six, an INDETERMINATE one only the unresolved.
+    """
     b = as_bundle_expr(b)
     if b.rank() == 0:
         raise EmptyBundle("the Ulrich test needs a bundle of positive rank")
-    probes = []
-    for name, tw, degree in _ulrich_probe_plan():
-        iv = extension_cohomology(s, b, tw)
-        probes.append(Probe(name, tw, iv.lo(degree), iv.hi(degree)))
-    for pr in probes:
-        if pr.lo > 0:
-            return UlrichVerdict(Verdict.FALSE, witness=pr, probes=tuple(probes))
-    if all(pr.hi == 0 for pr in probes):
-        return UlrichVerdict(Verdict.TRUE, probes=tuple(probes))
-    unresolved = tuple(pr for pr in probes if pr.hi > pr.lo)
-    return UlrichVerdict(Verdict.INDETERMINATE, probes=unresolved)
+    probes = tuple(_probe(s, b, name, tw, degree) for name, tw, degree in _ulrich_probe_plan())
+    judged = _judge(probes)
+    return judged if judged.verdict is Verdict.INDETERMINATE else replace(judged, probes=probes)
 
 
 def make_ulrich(s: Scroll, a: int, b: int) -> BundleExpr:
@@ -282,17 +249,13 @@ def detect_line_summand(s: Scroll, b) -> SummandVerdict:
         raise NotRegular(f"summand detection needs a regular input; regularity {state}")
     inconclusive: list[Probe] = []
     for name, tw, degree, summand, auxiliaries in _summand_cases(s):
-        iv = extension_cohomology(s, b, tw)
-        cause = Probe(name, tw, iv.lo(degree), iv.hi(degree))
+        cause = _probe(s, b, name, tw, degree)
         if cause.hi == 0:
             continue  # this cause is definitely absent
         if cause.lo == 0:
             inconclusive.append(cause)
             continue  # cannot tell whether the cause fires
-        aux_probes = []
-        for aux_name, aux_tw, aux_degree in auxiliaries:
-            aux_iv = extension_cohomology(s, b, aux_tw)
-            aux_probes.append(Probe(aux_name, aux_tw, aux_iv.lo(aux_degree), aux_iv.hi(aux_degree)))
+        aux_probes = [_probe(s, b, *aux) for aux in auxiliaries]
         if all(pr.hi == 0 for pr in aux_probes):
             return SummandVerdict(Verdict.TRUE, summand=summand, witness=cause, probes=tuple(aux_probes))
         inconclusive.append(cause)

@@ -111,7 +111,7 @@ def test_criterion_3_splitting_harness():
     v = decide_split_acm3(Scroll(1, 2), bundle_sum(DivisorClass(0, 2)))
     witness_ok = (
         v.outcome is Verdict.FALSE
-        and (v.failure.condition, v.failure.t, v.failure.value)
+        and (v.failure.name, v.failure.twist.h, v.failure.lo)
         == ("h1(E(tH+(a1-1)f))", -2, 1)
         and line_cohomology(Scroll(1, 2), DivisorClass(-2, 3)).h1 == 1
     )

@@ -32,6 +32,7 @@ from scrollcalc import (
     sum_cohomology,
     violating_twists,
 )
+from scrollcalc import extensions
 from scrollcalc.harness import (
     brute_force_violations,
     random_sum_bundle,
@@ -57,11 +58,11 @@ def test_split_h_frozen_examples():
 
     v = decide_split_tH(s, bundle_sum(DivisorClass(0, 1)))
     assert v.outcome is Verdict.FALSE
-    assert (v.failure.condition, v.failure.t, v.failure.value) == ("h1(E(tH+(c-1)f))", -2, 1)
+    assert (v.failure.name, v.failure.twist.h, v.failure.lo) == ("h1(E(tH+(c-1)f))", -2, 1)
 
     v = decide_split_tH(s, bundle_sum(DivisorClass(1, -1)))
     assert v.outcome is Verdict.FALSE
-    assert (v.failure.condition, v.failure.t, v.failure.value) == ("h1(E(tH-f))", -1, 1)
+    assert (v.failure.name, v.failure.twist.h, v.failure.lo) == ("h1(E(tH-f))", -1, 1)
 
 
 def test_split_acm3_frozen_examples():
@@ -74,11 +75,11 @@ def test_split_acm3_frozen_examples():
     s = Scroll(1, 2)
     v = decide_split_acm3(s, bundle_sum(DivisorClass(0, 2)))
     assert v.outcome is Verdict.FALSE
-    assert (v.failure.condition, v.failure.t, v.failure.value) == ("h1(E(tH+(a1-1)f))", -2, 1)
+    assert (v.failure.name, v.failure.twist.h, v.failure.lo) == ("h1(E(tH+(a1-1)f))", -2, 1)
 
     v = decide_split_acm3(s, bundle_sum(DivisorClass(0, -2)))
     assert v.outcome is Verdict.FALSE
-    assert (v.failure.condition, v.failure.t, v.failure.value) == ("h1(E(tH))", 0, 1)
+    assert (v.failure.name, v.failure.twist.h, v.failure.lo) == ("h1(E(tH))", 0, 1)
 
 
 def test_split_witness_rank_matches_input(scroll):
@@ -144,8 +145,35 @@ def test_acm_frozen_examples():
     assert is_acm(Scroll(2, 2), bundle_sum(DivisorClass(0, 3))).verdict is Verdict.TRUE
     v = is_acm(Scroll(2, 2), bundle_sum(DivisorClass(0, 4)))
     assert v.verdict is Verdict.FALSE
-    assert (v.witness_t, v.witness_value) == (-2, 1)
+    assert (v.witness.twist.h, v.witness.lo) == (-2, 1)
     assert is_acm(Scroll(1, 2), bundle_sum(DivisorClass(0, -1))).verdict is Verdict.TRUE
+
+
+def test_scan_stops_at_first_failure(monkeypatch):
+    # O(-10^6 f) on S(1,2) violates every scanned family on an interval
+    # about 10^6 twists wide, and a Sum's first violating twist already
+    # refutes it, so each decision evaluates exactly one probe
+    s, b = Scroll(1, 2), line_bundle(0, -10**6)
+    real = extensions.extension_cohomology
+    calls = []
+
+    def once(*args):
+        if calls:
+            raise AssertionError("probed past the first failure")
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(extensions, "extension_cohomology", once)
+
+    def run(decide):
+        calls.clear()
+        v = decide(s, b)
+        assert len(calls) == 1
+        return v
+
+    assert run(decide_split_tH).failure.lo > 0
+    assert run(decide_split_acm3).failure.lo > 0
+    assert run(is_acm).witness.lo > 0
 
 
 def test_acm_fibre_twist_classification(scroll):
@@ -162,6 +190,22 @@ def test_ulrich_frozen_examples():
     v = is_ulrich(s, bundle_sum(DivisorClass(0, 0)))
     assert v.verdict is Verdict.FALSE
     assert v.witness.name == "h2(E(-2H))" and v.witness.lo == s.c - 1
+
+
+def test_ulrich_probes_by_verdict():
+    # a decided verdict carries all six probes, an undecided one only
+    # the four it could not resolve
+    s = Scroll(1, 2)
+    names = ["h0(E(-H))", "h1(E(-H))", "h2(E(-H))", "h0(E(-2H))", "h1(E(-2H))", "h2(E(-2H))"]
+    for d, verdict in ((DivisorClass(1, -1), Verdict.TRUE), (DivisorClass(0, 0), Verdict.FALSE)):
+        v = is_ulrich(s, bundle_sum(d))
+        assert v.verdict is verdict
+        assert [p.name for p in v.probes] == names
+        assert v.witness is None or v.witness in v.probes
+    v = is_ulrich(s, Ext(line_bundle(-1, 3), line_bundle(2, -2)))
+    assert v.verdict is Verdict.INDETERMINATE and v.witness is None
+    assert [p.name for p in v.probes] == ["h0(E(-H))", "h1(E(-H))", "h1(E(-2H))", "h2(E(-2H))"]
+    assert all((p.lo, p.hi) == (0, 1) for p in v.probes)
 
 
 def test_ulrich_sum_classification(scroll):
