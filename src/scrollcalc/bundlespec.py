@@ -8,8 +8,10 @@ Grammar (whitespace ignored between tokens):
           | "ext(" spec ";" spec ")"
 
 "O(h,f)" is the line bundle O(hH + ff); "ext(A; B)" is the class of
-extensions 0 -> A -> E -> B -> 0.  Multiplicities multiply out into
-multisets: "2*O(0,3)" and "O(0,3)^2" both mean O(0,3) + O(0,3).
+extensions 0 -> A -> E -> B -> 0.  "2*O(0,3)" and "O(0,3)^2" both mean
+O(0,3) + O(0,3).  The multiplicities of line bundles are stored as
+counts, never expanded, so "O(0,0)^1000000000" costs no more than
+"O(0,0)".
 
 A parsed expression is at most MAX_EXT_DEPTH Ext levels deep, counted
 on the folded tree below: "+" chains and multiplicities such as
@@ -19,21 +21,21 @@ parser descends into it; a term whose folding passes the bound is a
 ParseError at the start of that term, raised before its copies are
 built.
 
-A "+" of plain line-bundle terms builds one Sum.  When ext terms are
-mixed in, adjacent line-bundle runs are merged into Sums and the pieces
-are folded left to right into nested extension classes; the direct sum
-is always a member of the resulting class, so cohomology bounds stay
-valid (they may just stop being forced).
+A "+" of plain line-bundle terms builds one Sum, with the counts of
+equal classes added.  When ext terms are mixed in, each run of adjacent
+line-bundle terms becomes one Sum and the pieces are folded left to
+right into nested extension classes; the direct sum is always a member
+of the resulting class, so cohomology bounds stay valid (they may just
+stop being forced).
 
-`format_bundle` prints a canonical form: summands sorted with grouped
-multiplicities, extensions as ext(...; ...).  parse followed by format
-is idempotent, which is the normalisation contract the round-trip tests
-pin down.
+`format_bundle` prints a canonical form: a Sum's counted classes in
+sorted order, each as "n*O(h,f)" or, when n = 1, "O(h,f)", and
+extensions as ext(...; ...).  parse followed by format is idempotent,
+which is the normalisation contract the round-trip tests pin down.
 """
 
 from __future__ import annotations
 
-from .cohomology import LineBundleSum
 from .errors import ParseError
 from .extensions import BundleExpr, Ext, Sum
 from .scroll import DivisorClass
@@ -79,6 +81,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+def _int_value(tok: tuple[str, str, int]) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"integer of {len(tok[1])} digits is too long", tok[2], ("int",)) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -101,29 +110,30 @@ class _Parser:
         return self.advance()
 
     def parse_int(self) -> int:
-        return int(self.expect("int")[1])
+        return _int_value(self.expect("int"))
 
     def parse_nat(self) -> int:
         tok = self.expect("int")
         if tok[1].startswith("-"):
             raise ParseError(f"expected a nonnegative count, found {tok[1]!r}", tok[2], ("nat",))
-        return int(tok[1])
+        return _int_value(tok)
 
     def parse_spec(self) -> tuple[BundleExpr, int]:
         """A spec folded into one expression, and its depth: the number
         of Ext levels on its longest root-to-leaf path."""
-        pieces: list[BundleExpr] = []  # adjacent plain sums already merged
+        # Ext atoms, and lists of (class, count) pairs for the runs of
+        # plain terms between them; each run becomes one Sum at the end
+        pieces: list = []
         depth = 0  # of the left fold of `pieces`
         while True:
             offset = self.peek()[2]
             atom, atom_depth, count = self.parse_term()
-            if isinstance(atom, Sum):
-                summands = atom.bundle.summands * count
-                if pieces and isinstance(pieces[-1], Sum):
-                    pieces[-1] = Sum(LineBundleSum(pieces[-1].bundle.summands + summands))
+            if isinstance(atom, DivisorClass):
+                if pieces and isinstance(pieces[-1], list):
+                    pieces[-1].append((atom, count))
                     count = 0
                 else:
-                    atom, count = Sum(LineBundleSum(summands)), 1
+                    atom, count = [(atom, count)], 1
             if count:
                 # every piece after the first adds one Ext level on top
                 depth = max(depth, atom_depth) + count if pieces else atom_depth + count - 1
@@ -134,13 +144,14 @@ class _Parser:
                 break
             self.advance()
         if not pieces:
-            return Sum(LineBundleSum(())), 0
+            return Sum(), 0
+        pieces = [Sum(tuple(p)) if isinstance(p, list) else p for p in pieces]
         out = pieces[0]
         for piece in pieces[1:]:
             out = Ext(out, piece)
         return out, depth
 
-    def parse_term(self) -> tuple[BundleExpr, int, int]:
+    def parse_term(self) -> tuple[DivisorClass | Ext, int, int]:
         """An atom, its depth and its multiplicity."""
         count = 1
         if self.peek()[0] == "int":
@@ -152,7 +163,8 @@ class _Parser:
             count *= self.parse_nat()
         return atom, depth, count
 
-    def parse_atom(self) -> tuple[BundleExpr, int]:
+    def parse_atom(self) -> tuple[DivisorClass | Ext, int]:
+        """A line bundle's class or an Ext node, and its depth."""
         tok = self.peek()
         if tok[0] != "name" or tok[1] not in ("O", "ext"):
             shown = tok[1] or "end of input"
@@ -164,7 +176,7 @@ class _Parser:
             self.expect(",")
             f = self.parse_int()
             self.expect(")")
-            return Sum(LineBundleSum((DivisorClass(h, f),))), 0
+            return DivisorClass(h, f), 0
         if self.ext_depth == MAX_EXT_DEPTH:
             raise ParseError(f"ext(...) nested deeper than {MAX_EXT_DEPTH} levels", tok[2], ("O",))
         self.ext_depth += 1
@@ -189,20 +201,9 @@ def parse_bundle_spec(text: str) -> BundleExpr:
 def format_bundle(b: BundleExpr) -> str:
     """Canonical text for a bundle expression."""
     if isinstance(b, Sum):
-        if b.rank() == 0:
+        if not b.terms:
             return "0*O(0,0)"
-        parts = []
-        summands = b.bundle.summands  # already sorted
-        i = 0
-        while i < len(summands):
-            j = i
-            while j < len(summands) and summands[j] == summands[i]:
-                j += 1
-            d, count = summands[i], j - i
-            text = f"O({d.h},{d.f})"
-            parts.append(text if count == 1 else f"{count}*{text}")
-            i = j
-        return " + ".join(parts)
+        return " + ".join(f"O({d.h},{d.f})" if n == 1 else f"{n}*O({d.h},{d.f})" for d, n in b.terms)
     assert isinstance(b, Ext)
     return f"ext({format_bundle(b.sub)}; {format_bundle(b.quot)})"
 

@@ -35,7 +35,7 @@ from .logbundles import (
     FORMULA_ONLY_FLAG,
 )
 from .regularity import is_pp_regular, reg
-from .scroll import DivisorClass, Scroll
+from .scroll import DivisorClass, Scroll, twist_rectangle
 from .splitting import (
     decide_split_acm3,
     decide_split_tH,
@@ -68,12 +68,6 @@ def _twist_ranges(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((hlo, hhi), (flo, fhi))
 
 
-def _rectangle(ranges):
-    """The twists of a `--twists` rectangle, lazily, in row-major order."""
-    (hlo, hhi), (flo, fhi) = ranges
-    return (DivisorClass(th, tf) for th in range(hlo, hhi + 1) for tf in range(flo, fhi + 1))
-
-
 def _scroll_obj(s: Scroll) -> dict:
     return {"a0": s.a0, "a1": s.a1}
 
@@ -101,7 +95,7 @@ def _cmd_cohomology(args, s, b):
 def _cmd_table(args, s, b):
     def rows():
         yield "tH,tf,h0,h1,h2,chi"
-        for t in _rectangle(args.twists):
+        for t in twist_rectangle(*args.twists):
             iv = extension_cohomology(s, b, t)
             cells = [str(iv.lo(i)) if iv.forced_at(i) else f"{iv.lo(i)}..{iv.hi(i)}" for i in range(3)]
             yield f"{t.h},{t.f},{cells[0]},{cells[1]},{cells[2]},{iv.chi}"
@@ -122,7 +116,7 @@ def _cmd_regularity(args, s, b):
 def _cmd_split(s, b, decide):
     verdict = decide(s, b)
     word = _SPLIT_WORDS[verdict.outcome]
-    splitting = format_bundle(Sum(verdict.witness)) if verdict.witness is not None else None
+    splitting = format_bundle(verdict.witness) if verdict.witness is not None else None
     witnesses, lines = [], [f"verdict: {word}"]
     if splitting is not None:
         lines.append(f"splitting: {splitting}")
@@ -193,7 +187,7 @@ def _cmd_ext1(args, s, b):
 
 def _cmd_log(args, s, b):
     arr = validate_arrangement(s, args.lines, args.curves)
-    splitting = format_bundle(Sum(log_splitting_type(arr)))
+    splitting = format_bundle(log_splitting_type(arr))
     flags = {"supported": arr.supported, "formula_only": FORMULA_ONLY_FLAG in arr.flags}
     obj = _envelope(s, {"lines": args.lines, "curves": args.curves}, flags=flags, splitting=splitting)
     return obj, [f"splitting: {splitting}"] + [f"{key}: {str(value).lower()}" for key, value in flags.items()]
@@ -204,14 +198,13 @@ def _cmd_log_check(args, s, b):
     if args.claimed is None:
         claimed = log_splitting_type(arr)
     else:
-        parsed = parse_bundle_spec(args.claimed)
-        if not isinstance(parsed, Sum):
+        claimed = parse_bundle_spec(args.claimed)
+        if not isinstance(claimed, Sum):
             raise RankMismatch("the claimed splitting must be a direct sum of line bundles")
-        claimed = parsed.bundle
-    report = residue_consistency(arr, claimed, _rectangle(args.twists))
+    report = residue_consistency(arr, claimed, twist_rectangle(*args.twists))
     failed = [c for c in report.chi_checks if not c.ok]
     verdict = "true" if report.ok else "false"
-    given = {"lines": args.lines, "curves": args.curves, "claimed": format_bundle(Sum(claimed))}
+    given = {"lines": args.lines, "curves": args.curves, "claimed": format_bundle(claimed)}
     witnesses = [{"twist": [c.twist.h, c.twist.f], "lhs": c.lhs, "rhs": c.rhs} for c in failed[:5]]
     obj = _envelope(s, given, witnesses, verdict=verdict, c1_ok=report.c1_check,
                     chi_total=len(report.chi_checks), chi_failed=len(failed))
@@ -225,7 +218,7 @@ def _cmd_log_check(args, s, b):
 
 def _cmd_classify_log(args, s, b):
     found = [
-        {"lines": a, "curves": c, "splitting": format_bundle(Sum(split))}
+        {"lines": a, "curves": c, "splitting": format_bundle(split)}
         for a, c, split in classify_regular_acm_log(s, args.max_lines, args.max_curves)
     ]
     obj = _envelope(s, {"max_lines": args.max_lines, "max_curves": args.max_curves}, classification=found)

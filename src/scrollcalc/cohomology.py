@@ -11,7 +11,12 @@ Every computation reduces to the base P^1 through three branches:
 The degree swap in the last branch (X-degree i reads off P^1-degree 2-i)
 lives in the cached `_line_cohomology` and nowhere else; every consumer
 in the package goes through it, by way of `line_cohomology` or, for the
-per-leaf loop of `sum_cohomology`, directly.
+per-class loop of `sum_cohomology`, directly.
+
+A direct sum of line bundles is a `Sum`: counted classes, the leaf
+node of the bundle trees in the extensions module.  Its cohomology is
+additive, so `sum_cohomology` and `restricted_cohomology` weight each
+distinct class by its count and never expand a multiplicity.
 
 `euler_rr` is an independent oracle: it computes the Euler characteristic
 from the intersection form alone, chi(D) = 1 + D.(D-K)/2, and never
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import OddIntersection, UnsupportedCurveClass
+from .errors import NegativeCount, OddIntersection, UnsupportedCurveClass
 from .p1 import P1Sum, p1_cohomology, sym_decompose
 from .scroll import ZERO, DivisorClass, Scroll, intersect, restriction_degree
 
@@ -53,26 +58,39 @@ class CohomRecord:
 
 
 @dataclass(frozen=True)
-class LineBundleSum:
-    """A finite multiset of divisor classes, stored sorted by (h, f)."""
+class Sum:
+    """A direct sum of line bundles, stored as counted classes.
 
-    summands: tuple[DivisorClass, ...]
+    `terms` holds (DivisorClass, count) pairs sorted by class, with equal
+    classes merged and zero counts dropped, so a multiplicity costs O(1)
+    however large it is; `leaves()` alone expands it.
+    """
+
+    terms: tuple[tuple[DivisorClass, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "summands", tuple(sorted(self.summands)))
+        counts: dict[DivisorClass, int] = {}
+        for d, n in self.terms:
+            if n < 0:
+                raise NegativeCount(f"a direct sum cannot hold {n} copies of {d}")
+            counts[d] = counts.get(d, 0) + n
+        object.__setattr__(self, "terms", tuple(sorted((d, n) for d, n in counts.items() if n)))
 
-    @property
     def rank(self) -> int:
-        return len(self.summands)
+        return sum(n for _, n in self.terms)
+
+    def leaves(self) -> tuple[DivisorClass, ...]:
+        return tuple(d for d, n in self.terms for _ in range(n))
 
     def c1(self) -> DivisorClass:
         out = ZERO
-        for d in self.summands:
-            out = out + d
+        for d, n in self.terms:
+            out = out + n * d
         return out
 
-    def __iter__(self):
-        return iter(self.summands)
+    def sums(self) -> tuple[Sum]:
+        """The Sum nodes of the expression: just this one."""
+        return (self,)
 
 
 @lru_cache(maxsize=None)
@@ -93,15 +111,15 @@ def line_cohomology(s: Scroll, d: DivisorClass) -> CohomRecord:
     return _line_cohomology(s.a0, s.a1, d.h, d.f)
 
 
-def sum_cohomology(s: Scroll, b: LineBundleSum, twist: DivisorClass = ZERO) -> CohomRecord:
-    """Componentwise cohomology of a twisted direct sum of line bundles."""
+def sum_cohomology(s: Scroll, b: Sum, twist: DivisorClass = ZERO) -> CohomRecord:
+    """Cohomology of a twisted direct sum: n*h^i per distinct class."""
     a0, a1, th, tf = s.a0, s.a1, twist.h, twist.f
     h0 = h1 = h2 = 0
-    for d in b.summands:
+    for d, n in b.terms:
         rec = _line_cohomology(a0, a1, d.h + th, d.f + tf)
-        h0 += rec.h0
-        h1 += rec.h1
-        h2 += rec.h2
+        h0 += n * rec.h0
+        h1 += n * rec.h1
+        h2 += n * rec.h2
     return CohomRecord(h0, h1, h2)
 
 
@@ -138,7 +156,7 @@ def h1_violating_h_twists(s: Scroll, d: DivisorClass) -> tuple[tuple[int, int], 
 
 
 def restricted_cohomology(
-    s: Scroll, b: LineBundleSum, curve: DivisorClass, twist: DivisorClass = ZERO
+    s: Scroll, b: Sum, curve: DivisorClass, twist: DivisorClass = ZERO
 ) -> tuple[int, int]:
     """(h^0, h^1) of (b (x) twist) restricted to a rational curve on s.
 
@@ -153,5 +171,9 @@ def restricted_cohomology(
             f"restriction to {curve} is not supported on {s}; "
             f"choose one of {', '.join(str(a) for a in allowed)}"
         )
-    degrees = P1Sum(tuple(restriction_degree(d + twist, curve, s) for d in b))
-    return p1_cohomology(degrees)
+    h0 = h1 = 0
+    for d, n in b.terms:
+        p0, p1 = p1_cohomology(P1Sum((restriction_degree(d + twist, curve, s),)))
+        h0 += n * p0
+        h1 += n * p1
+    return (h0, h1)

@@ -1,7 +1,10 @@
 """Bundles presented as iterated extensions of line-bundle sums.
 
-An `Ext(sub, quot)` node stands for the whole class of bundles E sitting
-in 0 -> sub -> E -> quot -> 0, with no genericity assumption on the
+A bundle expression, `BundleExpr = Sum | Ext`, is a tree: its leaves
+are `Sum` nodes of counted line-bundle classes (from the cohomology
+module), and its inner nodes are extensions.  An `Ext(sub, quot)` node
+stands for the whole class of bundles E sitting in
+0 -> sub -> E -> quot -> 0, with no genericity assumption on the
 extension class.  Cohomology of such a node is therefore interval
 valued: the long exact sequence gives
 
@@ -15,10 +18,12 @@ separately, so in particular a degree is forced exact whenever both
 flanking groups vanish.  Euler characteristics are exact and additive
 regardless of the class.
 
-`extension_cohomology`, `rank()` and `leaves()` walk a tree iteratively,
-with an explicit stack and no recursion, so its depth is bounded by
-memory alone.  Every node, not just the root, is still checked against
-the `IntervalCohom` invariants (0 <= lo_i <= hi_i, chi inside the
+`extension_cohomology`, `rank()`, `leaves()` and `sums()` walk a tree
+iteratively, with an explicit stack and no recursion, so its depth is
+bounded by memory alone.  Consumers read the counted `terms` of the
+Sum nodes that `sums()` yields; only `leaves()` expands multiplicities.
+Every node, not just the root, is still checked against the
+`IntervalCohom` invariants (0 <= lo_i <= hi_i, chi inside the
 alternating-sum range).
 
 Every decision procedure in the package (regularity, splitting, ACM,
@@ -36,7 +41,7 @@ import enum
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .cohomology import LineBundleSum, line_cohomology, sum_cohomology
+from .cohomology import Sum, line_cohomology, sum_cohomology
 from .scroll import ZERO, DivisorClass, Scroll
 
 
@@ -44,9 +49,6 @@ class Verdict(enum.Enum):
     TRUE = "true"
     FALSE = "false"
     INDETERMINATE = "indeterminate"
-
-
-INDETERMINATE = Verdict.INDETERMINATE
 
 
 @dataclass(frozen=True)
@@ -77,39 +79,18 @@ class ProbeVerdict:
     probes: tuple[Probe, ...] = ()
 
 
-class BundleExpr:
-    """Base class: a direct sum of line bundles or an extension class."""
-
-    def rank(self) -> int:
-        raise NotImplementedError
-
-    def leaves(self) -> tuple[DivisorClass, ...]:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class Sum(BundleExpr):
-    bundle: LineBundleSum
-
-    def rank(self) -> int:
-        return self.bundle.rank
-
-    def leaves(self) -> tuple[DivisorClass, ...]:
-        return self.bundle.summands
-
-
-@dataclass(frozen=True)
-class Ext(BundleExpr):
+class Ext:
     sub: BundleExpr
     quot: BundleExpr
 
     def rank(self) -> int:
-        return sum(node.bundle.rank for node in self._sums())
+        return sum(n for node in self.sums() for _, n in node.terms)
 
     def leaves(self) -> tuple[DivisorClass, ...]:
-        return tuple(d for node in self._sums() for d in node.bundle.summands)
+        return tuple(d for node in self.sums() for d in node.leaves())
 
-    def _sums(self) -> Iterator[Sum]:
+    def sums(self) -> Iterator[Sum]:
         """The Sum nodes left to right, walked from an explicit stack."""
         todo: list[BundleExpr] = [self]
         while todo:
@@ -120,22 +101,23 @@ class Ext(BundleExpr):
                 yield node
 
 
+BundleExpr = Sum | Ext
+
+
 def line_bundle(h: int, f: int) -> Sum:
-    return Sum(LineBundleSum((DivisorClass(h, f),)))
+    return Sum(((DivisorClass(h, f), 1),))
 
 
 def bundle_sum(*divisors: DivisorClass) -> Sum:
-    return Sum(LineBundleSum(tuple(divisors)))
+    return Sum(tuple((d, 1) for d in divisors))
 
 
 def as_bundle_expr(x) -> BundleExpr:
-    """Coerce a DivisorClass or LineBundleSum into a BundleExpr."""
+    """Coerce a DivisorClass into a one-term Sum; pass expressions through."""
     if isinstance(x, BundleExpr):
         return x
-    if isinstance(x, LineBundleSum):
-        return Sum(x)
     if isinstance(x, DivisorClass):
-        return Sum(LineBundleSum((x,)))
+        return Sum(((x, 1),))
     raise TypeError(f"cannot interpret {x!r} as a bundle expression")
 
 
@@ -216,7 +198,7 @@ def extension_cohomology(s: Scroll, b, twist: DivisorClass = ZERO) -> IntervalCo
         elif isinstance(node, Sum):
             # exact, so lo = hi and chi is the alternating sum; CohomRecord
             # has already checked h^i >= 0
-            h0, h1, h2 = sum_cohomology(s, node.bundle, twist).as_tuple()
+            h0, h1, h2 = sum_cohomology(s, node, twist).as_tuple()
             values.append((h0, h0, h1, h1, h2, h2, h0 - h1 + h2))
         else:
             todo += (None, node.quot, node.sub)
@@ -261,11 +243,9 @@ def forced_split(s: Scroll, b: BundleExpr) -> bool:
     the Sum nodes are walked left to right and each distinct leaf of one
     is checked against each distinct leaf of the Sums before it.
     """
-    if isinstance(b, Sum):
-        return True
     earlier: set[DivisorClass] = set()
-    for node in b._sums():
-        here = set(node.bundle.summands)
+    for node in b.sums():
+        here = {d for d, _ in node.terms}
         if any(ext1_dim(s, q, t) for q in here for t in earlier):
             return False
         earlier |= here

@@ -1,10 +1,10 @@
 """Seeded sweeps cross-checking the splitting decisions.
 
-Used both by the test suite and by scripts/splitting_harness.py.  For
-each random direct sum the two decision procedures are compared against
-the structural characterisations of their split types, and the
-closed-form violating-twist sets are compared against a brute-force
-scan that recomputes every h^1 through the direct-image route.
+Used by the test suite and the benchmark's oracles.  For each random
+direct sum the two decision procedures are compared against the
+structural characterisations of their split types, and the closed-form
+violating-twist sets are compared against a brute-force scan that
+recomputes every h^1 through the direct-image route.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, field
 
 from .bundlespec import format_bundle
-from .cohomology import LineBundleSum, line_cohomology
-from .extensions import Sum, Verdict
+from .cohomology import line_cohomology
+from .extensions import Sum, Verdict, bundle_sum
 from .scroll import DivisorClass, Scroll
 from .splitting import (
     acm3_families,
@@ -33,24 +33,19 @@ def random_sum_bundle(
     rng: random.Random, max_rank: int = 5, h_bound: int = H_BOUND, f_bound: int = F_BOUND
 ) -> Sum:
     rank = rng.randint(1, max_rank)
-    return Sum(
-        LineBundleSum(
-            tuple(
-                DivisorClass(rng.randint(-h_bound, h_bound), rng.randint(-f_bound, f_bound))
-                for _ in range(rank)
-            )
-        )
+    return bundle_sum(
+        *(DivisorClass(rng.randint(-h_bound, h_bound), rng.randint(-f_bound, f_bound)) for _ in range(rank))
     )
 
 
 def splits_into_h_twists(b: Sum) -> bool:
     """Structural form of the h-twist criterion: every f-coefficient is 0."""
-    return all(d.f == 0 for d in b.leaves())
+    return all(d.f == 0 for d, _ in b.terms)
 
 
 def splits_into_three_types(b: Sum) -> bool:
     """Structural form of the three-type criterion: f-coefficients in {-1,0,1}."""
-    return all(d.f in (-1, 0, 1) for d in b.leaves())
+    return all(d.f in (-1, 0, 1) for d, _ in b.terms)
 
 
 def brute_force_violations(
@@ -62,7 +57,7 @@ def brute_force_violations(
     out = []
     for t in range(lo, hi + 1):
         tw = DivisorClass(t, 0) + shift
-        if any(line_cohomology(s, d + tw).h1 > 0 for d in b.leaves()):
+        if any(line_cohomology(s, d + tw).h1 > 0 for d, _ in b.terms):
             out.append(t)
     return tuple(out)
 

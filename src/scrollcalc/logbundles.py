@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cohomology import LineBundleSum, euler_rr
+from .cohomology import Sum, euler_rr
 from .errors import (
     BoundsTooSmall,
     HypothesisViolated,
@@ -83,7 +83,7 @@ def validate_arrangement(s: Scroll, lines: int, curves: int) -> Arrangement:
     return Arrangement(s, lines, curves, curves <= 1 and lines >= s.e + 1)
 
 
-def log_splitting_type(arr: Arrangement) -> LineBundleSum:
+def log_splitting_type(arr: Arrangement) -> Sum:
     """Splitting type of Omega^1(log D) as a sum of two line bundles."""
     if not arr.supported:
         raise UnsupportedArrangement(
@@ -100,7 +100,7 @@ def log_splitting_type(arr: Arrangement) -> LineBundleSum:
         second = DivisorClass(-2, s.c)
     else:
         second = DivisorClass(-1, s.a0)
-    return LineBundleSum((first, second))
+    return Sum(((first, 1), (second, 1)))
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class ChiCheck:
 
 @dataclass(frozen=True)
 class LogReport:
-    claimed: LineBundleSum
+    claimed: Sum
     c1_expected: DivisorClass
     c1_check: bool
     chi_checks: tuple[ChiCheck, ...]
@@ -123,17 +123,8 @@ class LogReport:
         return self.c1_check and all(ch.ok for ch in self.chi_checks)
 
 
-def twist_rectangle(h_bound: int, f_bound: int) -> tuple[DivisorClass, ...]:
-    """All twists with |h| <= h_bound and |f| <= f_bound, row-major."""
-    return tuple(
-        DivisorClass(th, tf)
-        for th in range(-h_bound, h_bound + 1)
-        for tf in range(-f_bound, f_bound + 1)
-    )
-
-
 def residue_consistency(
-    arr: Arrangement, claimed: LineBundleSum, twist_grid: Iterable[DivisorClass]
+    arr: Arrangement, claimed: Sum, twist_grid: Iterable[DivisorClass]
 ) -> LogReport:
     """Check a claimed splitting type against the residue sequence.
 
@@ -142,13 +133,14 @@ def residue_consistency(
     one chi(P^1, O(deg)) = deg + 1 term per component.  Both sides are
     computed by Riemann-Roch, independently of any splitting formula.
     """
-    if claimed.rank != 2:
-        raise RankMismatch(f"a log splitting type has rank 2, got rank {claimed.rank}")
+    rank = claimed.rank()
+    if rank != 2:
+        raise RankMismatch(f"a log splitting type has rank 2, got rank {rank}")
     s = arr.scroll
     c1_expected = s.K + arr.boundary_class()
     checks = []
     for tw in twist_grid:
-        lhs = sum(euler_rr(s, d + tw) for d in claimed)
+        lhs = sum(n * euler_rr(s, d + tw) for d, n in claimed.terms)
         rhs = (
             euler_rr(s, DivisorClass(0, -2) + tw)
             + euler_rr(s, DivisorClass(-2, s.c) + tw)
@@ -161,7 +153,7 @@ def residue_consistency(
 
 def classify_regular_acm_log(
     s: Scroll, max_lines: int, max_curves: int
-) -> tuple[tuple[int, int, LineBundleSum], ...]:
+) -> tuple[tuple[int, int, Sum], ...]:
     """All arrangements up to the bounds whose log bundle is regular and ACM.
 
     Only balanced scrolls of degree > 2 are in range.  The bounds must

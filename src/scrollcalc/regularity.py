@@ -101,10 +101,10 @@ def reg(s: Scroll, b) -> int | Verdict:
     Ext inputs are probed at r - 1.
     """
     b = as_bundle_expr(b)
-    leaves = b.leaves()
-    if not leaves:
+    classes = [d for node in b.sums() for d, _ in node.terms]
+    if not classes:
         raise EmptyBundle("Reg of the zero bundle is not defined")
-    r = max(line_bundle_reg(s, d) for d in leaves)
+    r = max(line_bundle_reg(s, d) for d in classes)
     if is_pp_regular(s, b, r, 0).verdict is not Verdict.TRUE:
         raise AssertionError("the direct sum's regularity failed to certify the class")
     if isinstance(b, Ext) and is_pp_regular(s, b, r - 1, 0).verdict is Verdict.INDETERMINATE:

@@ -16,6 +16,7 @@ are exact integer arithmetic on (h, f) coordinate pairs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import InvalidScroll
@@ -105,3 +106,10 @@ def restriction_degree(d: DivisorClass, curve: DivisorClass, s: Scroll) -> int:
     expected to pass an effective curve class (curve.h >= 0, nonzero).
     """
     return intersect(d, curve, s)
+
+
+def twist_rectangle(h_range: tuple[int, int], f_range: tuple[int, int]) -> Iterator[DivisorClass]:
+    """The twists hH + ff with h and f in the closed ranges, lazily, in
+    row-major order (h outer, f inner)."""
+    (hlo, hhi), (flo, fhi) = h_range, f_range
+    return (DivisorClass(th, tf) for th in range(hlo, hhi + 1) for tf in range(flo, fhi + 1))

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-from .cohomology import LineBundleSum, h1_violating_h_twists
+from .cohomology import h1_violating_h_twists
 from .errors import EmptyBundle, NegativeCount, NotRegular
 from .extensions import (
     BundleExpr,
@@ -44,7 +44,6 @@ from .extensions import (
     _judge,
     _probe,
     as_bundle_expr,
-    bundle_sum,
     forced_split,
 )
 from .regularity import is_regular
@@ -54,7 +53,7 @@ from .scroll import DivisorClass, Scroll
 @dataclass(frozen=True)
 class SplitVerdict:
     outcome: Verdict  # TRUE = splits, FALSE = fails
-    witness: LineBundleSum | None = None
+    witness: Sum | None = None  # TRUE: the summands, as one Sum
     failure: Probe | None = None
     probes: tuple[Probe, ...] = ()
     note: str = ""
@@ -98,7 +97,9 @@ def violating_twists(s: Scroll, b: BundleExpr, offset: int) -> tuple[tuple[int, 
     nonzero.
     """
     shift = DivisorClass(0, offset)
-    leaf_intervals = sorted(iv for d in b.leaves() for iv in h1_violating_h_twists(s, d + shift))
+    leaf_intervals = sorted(
+        iv for node in b.sums() for d, _ in node.terms for iv in h1_violating_h_twists(s, d + shift)
+    )
     merged: list[tuple[int, int]] = []
     for lo, hi in leaf_intervals:
         if merged and lo <= merged[-1][1] + 1:
@@ -129,7 +130,8 @@ def _decide(s: Scroll, b, families) -> SplitVerdict:
     # conditions hold for every member of the class; the summand multiset
     # is the leaf multiset exactly when no extension class can be nonzero
     if forced_split(s, b):
-        return SplitVerdict(Verdict.TRUE, witness=LineBundleSum(b.leaves()))
+        summands = Sum(tuple(t for node in b.sums() for t in node.terms))
+        return SplitVerdict(Verdict.TRUE, witness=summands)
     return SplitVerdict(
         Verdict.INDETERMINATE,
         note="every member splits, but the summand multiset depends on the extension class",
@@ -187,8 +189,8 @@ def make_ulrich(s: Scroll, a: int, b: int) -> BundleExpr:
         raise NegativeCount("Ulrich building-block counts must be >= 0")
     if a == 0 and b == 0:
         raise EmptyBundle("an Ulrich bundle has positive rank; need a + b >= 1")
-    sub = bundle_sum(*([DivisorClass(1, -1)] * a))
-    quot = bundle_sum(*([DivisorClass(0, s.c - 1)] * b))
+    sub = Sum(((DivisorClass(1, -1), a),))
+    quot = Sum(((DivisorClass(0, s.c - 1), b),))
     if a == 0:
         return quot
     if b == 0:

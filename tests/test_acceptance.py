@@ -164,7 +164,7 @@ def test_criterion_4_ulrich_suite():
 def test_criterion_5_logarithmic_suite():
     ok = True
     detail = ""
-    grid = twist_rectangle(4, 6)
+    grid = tuple(twist_rectangle((-4, 4), (-6, 6)))
     for s in TEST_SCROLLS:
         for a in range(0, 9):
             for b in range(0, 5):
@@ -183,9 +183,9 @@ def test_criterion_5_logarithmic_suite():
             for a in range(0, 9):
                 want0 = {DivisorClass(0, a - 2), DivisorClass(-2, s.c)}
                 want1 = {DivisorClass(0, a - 2), DivisorClass(-1, s.a0)}
-                if set(log_splitting_type(validate_arrangement(s, a, 0))) != want0:
+                if set(log_splitting_type(validate_arrangement(s, a, 0)).leaves()) != want0:
                     ok, detail = False, f"b=0 coherence fails at {s} a={a}"
-                if set(log_splitting_type(validate_arrangement(s, a, 1))) != want1:
+                if set(log_splitting_type(validate_arrangement(s, a, 1)).leaves()) != want1:
                     ok, detail = False, f"b=1 coherence fails at {s} a={a}"
     if ok:
         got = [(a, b) for a, b, _ in classify_regular_acm_log(Scroll(2, 2), 7, 4)]
@@ -208,10 +208,10 @@ def test_criterion_6_erratum_regression():
     # the printed hypotheses hold numerically for E = O(f)
     hyp = (
         is_regular(s, e).verdict is Verdict.TRUE
-        and sum_cohomology(s, e.bundle, DivisorClass(-2, s.c - 1)).h1 == 1
-        and sum_cohomology(s, e.bundle, DivisorClass(-1, s.a0 - 1)).h1 == 0
-        and sum_cohomology(s, e.bundle, DivisorClass(-1, s.a1 - 1)).h1 == 0
-        and sum_cohomology(s, e.bundle, DivisorClass(-2, s.c - 2)).h1 == 0
+        and sum_cohomology(s, e, DivisorClass(-2, s.c - 1)).h1 == 1
+        and sum_cohomology(s, e, DivisorClass(-1, s.a0 - 1)).h1 == 0
+        and sum_cohomology(s, e, DivisorClass(-1, s.a1 - 1)).h1 == 0
+        and sum_cohomology(s, e, DivisorClass(-2, s.c - 2)).h1 == 0
     )
     v = detect_line_summand(s, e)
     # detector must answer O(f), not the misprinted O(H-f)

@@ -166,3 +166,58 @@ def test_depth_bound_counts_the_folded_tree(text):
         assert bounded is not None and format_bundle(bounded) == format_bundle(b)
     else:
         assert bounded is None
+
+
+
+# the grammar's alphabet, with "ext" and multi-digit numbers as whole tokens
+_TOKENS = ["O", "ext", "e", "x", "t", "(", ")", ",", ";", "+", "*", "^", "-", " "]
+_TOKENS += ["0", "1", "2", "7", "10", "300"]
+_ints = st.integers(min_value=-12, max_value=12).map(str)
+
+
+def _spec_texts(atoms):
+    counts, powers = st.sampled_from(["", "0*", "2*", "10 * "]), st.sampled_from(["", "^0", "^3"])
+    term = st.builds("{}{}{}".format, counts, atoms, powers)
+    return st.lists(term, min_size=1, max_size=3).map(" + ".join)
+
+
+_valid_specs = _spec_texts(
+    st.recursive(
+        st.builds("O({},{})".format, _ints, _ints),
+        lambda inner: st.builds("ext({}; {})".format, _spec_texts(inner), _spec_texts(inner)),
+        max_leaves=6,
+    )
+)
+
+
+@st.composite
+def _fuzzed_specs(draw):
+    """Grammar-built text with up to three tokens inserted or characters
+    deleted, or tokens of the alphabet strung together at random."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(_TOKENS), max_size=40)))
+    text = draw(_valid_specs)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        insert = draw(st.sampled_from(_TOKENS)) if draw(st.booleans()) else ""
+        text = text[:i] + insert + text[i + (not insert):]
+    return text
+
+
+@given(_fuzzed_specs())
+def test_fuzzed_text_parses_or_raises_parse_error(text):
+    # only parsing and formatting: the cohomology of a huge coefficient
+    # still costs time linear in its size
+    try:
+        b = parse_bundle_spec(text)
+    except ParseError:
+        return
+    once = format_bundle(b)
+    assert normalize(once) == once
+
+
+def test_overlong_integer_is_a_parse_error():
+    # Python refuses to convert more than 4300 digits by default
+    with pytest.raises(ParseError) as exc:
+        parse_bundle_spec("O(0," + "1" * 5000 + ")")
+    assert exc.value.offset == 4

@@ -258,3 +258,25 @@ def test_indeterminate_is_a_result(capsys):
     )
     assert code == 0
     assert "verdict: indeterminate" in out
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        # on S(1,2), c = 3: O(H-f) twisted by -H and -2H is O(0,-1) and
+        # O(-1,-1), O(2f) is O(-1,2) and O(-2,2), and all four have no
+        # cohomology, so the six Ulrich probes are 0 for any counts
+        (
+            ["ulrich-make", "--scroll", "1,2", "--a", "1000000000", "--b", "1000000000"],
+            "bundle: ext(1000000000*O(1,-1); 1000000000*O(0,2))\nverdict: true\n",
+        ),
+        # h^0(O) = 1 per copy, no higher cohomology
+        (
+            ["table", "--scroll=1,2", "--bundle=O(0,0)^1000000000", "--twists=0:0,0:0"],
+            "tH,tf,h0,h1,h2,chi\n0,0,1000000000,0,0,1000000000\n",
+        ),
+    ],
+    ids=["ulrich-make", "table"],
+)
+def test_billion_copies_through_the_cli(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")

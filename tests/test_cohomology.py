@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from scrollcalc import (
     DivisorClass,
-    LineBundleSum,
     Scroll,
     UnsupportedCurveClass,
     euler_rr,
@@ -19,6 +18,7 @@ from scrollcalc import (
     line_cohomology,
     restricted_cohomology,
     serre_dual,
+    bundle_sum,
     sum_cohomology,
 )
 
@@ -47,7 +47,7 @@ def test_frozen_values_s12():
 
 def test_sum_cohomology_is_additive_example():
     s = Scroll(1, 2)
-    b = LineBundleSum((DivisorClass(1, 0), DivisorClass(-2, 3)))
+    b = bundle_sum(DivisorClass(1, 0), DivisorClass(-2, 3))
     assert sum_cohomology(s, b).as_tuple() == (5, 1, 0)
 
 
@@ -103,7 +103,7 @@ def test_violating_intervals_match_brute_scan(s, d):
 
 def test_restricted_cohomology_curves():
     s = Scroll(1, 2)
-    b = LineBundleSum((DivisorClass(2, -1),))
+    b = bundle_sum(DivisorClass(2, -1))
     # fibre restriction: degree 2 on P^1
     assert restricted_cohomology(s, b, DivisorClass(0, 1)) == (3, 0)
     # hyperplane restriction: degree 2c - 1 = 5
@@ -123,7 +123,7 @@ def test_chi_never_raises_parity_guard(scroll):
 
 @given(scrolls, divisors, divisors)
 def test_sum_cohomology_additive(s, d1, d2):
-    b = LineBundleSum((d1, d2))
+    b = bundle_sum(d1, d2)
     rec = sum_cohomology(s, b)
     r1 = line_cohomology(s, d1)
     r2 = line_cohomology(s, d2)

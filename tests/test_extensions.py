@@ -13,7 +13,6 @@ from scrollcalc import (
     DivisorClass,
     Ext,
     IntervalCohom,
-    LineBundleSum,
     Scroll,
     Sum,
     Verdict,
@@ -48,14 +47,14 @@ def exprs(depth=2):
 @given(scrolls, exprs(), divisors)
 def test_chi_is_exact_and_additive(s, b, t):
     iv = extension_cohomology(s, b, t)
-    flat = sum_cohomology(s, LineBundleSum(b.leaves()), t)
+    flat = sum_cohomology(s, bundle_sum(*b.leaves()), t)
     assert iv.chi == flat.chi
 
 
 @given(scrolls, exprs(), divisors)
 def test_interval_contains_split_value(s, b, t):
     iv = extension_cohomology(s, b, t)
-    flat = sum_cohomology(s, LineBundleSum(b.leaves()), t)
+    flat = sum_cohomology(s, bundle_sum(*b.leaves()), t)
     for i in range(3):
         assert iv.lo(i) <= flat[i] <= iv.hi(i)
 
@@ -64,7 +63,7 @@ def test_interval_contains_split_value(s, b, t):
 def test_sums_are_exact(s, b, t):
     iv = extension_cohomology(s, b, t)
     assert iv.forced
-    assert iv.as_record_tuple() == sum_cohomology(s, b.bundle, t).as_tuple()
+    assert iv.as_record_tuple() == sum_cohomology(s, b, t).as_tuple()
 
 
 def test_frozen_ext1_values():
@@ -123,8 +122,8 @@ def test_as_bundle_expr_coercions():
     d = DivisorClass(1, 0)
     assert isinstance(as_bundle_expr(d), Sum)
     assert as_bundle_expr(d).rank() == 1
-    lbs = LineBundleSum((d, d))
-    assert as_bundle_expr(lbs).rank() == 2
+    two = bundle_sum(d, d)
+    assert as_bundle_expr(two) is two and two.rank() == 2
     e = Ext(line_bundle(0, 0), line_bundle(1, 0))
     assert as_bundle_expr(e) is e
     with pytest.raises(TypeError):
@@ -208,7 +207,7 @@ def test_kernel_matches_recursive_reference(s, b, t):
 @given(scrolls, exprs(5), divisors)
 def test_deep_interval_contains_split_value(s, b, t):
     iv = extension_cohomology(s, b, t)
-    flat = sum_cohomology(s, LineBundleSum(b.leaves()), t)
+    flat = sum_cohomology(s, bundle_sum(*b.leaves()), t)
     assert all(iv.lo(i) <= flat[i] <= iv.hi(i) for i in range(3))
     assert iv.chi == flat.chi
 
@@ -223,7 +222,7 @@ def test_deep_chain_evaluates_without_recursion():
         b = Ext(b, line_bundle(d.h, d.f))
     t = DivisorClass(-1, 1)
     iv = extension_cohomology(s, b, t)
-    flat = sum_cohomology(s, LineBundleSum(tuple(leaves)), t)
+    flat = sum_cohomology(s, bundle_sum(*leaves), t)
     assert (iv.hi0, iv.hi1, iv.hi2) == flat.as_tuple()
     assert iv.chi == flat.chi
 

@@ -10,12 +10,12 @@ import pytest
 from scrollcalc import (
     DivisorClass,
     HypothesisViolated,
-    LineBundleSum,
     NegativeCount,
     RankMismatch,
     Scroll,
     TooManyCurves,
     UnsupportedArrangement,
+    bundle_sum,
     classify_regular_acm_log,
     line_cohomology,
     log_splitting_type,
@@ -62,14 +62,14 @@ def test_unsupported_refuses_formula():
 
 def test_splitting_frozen_examples():
     split = log_splitting_type(validate_arrangement(Scroll(1, 2), 2, 0))
-    assert set(split) == {DivisorClass(0, 0), DivisorClass(-2, 3)}
+    assert set(split.leaves()) == {DivisorClass(0, 0), DivisorClass(-2, 3)}
     split = log_splitting_type(validate_arrangement(Scroll(1, 2), 2, 1))
-    assert set(split) == {DivisorClass(0, 0), DivisorClass(-1, 1)}
+    assert set(split.leaves()) == {DivisorClass(0, 0), DivisorClass(-1, 1)}
     split = log_splitting_type(validate_arrangement(Scroll(2, 2), 3, 2))
-    assert set(split) == {DivisorClass(0, 1), DivisorClass(0, 0)}
+    assert set(split.leaves()) == {DivisorClass(0, 1), DivisorClass(0, 0)}
     # empty arrangement at e = 0: the split cotangent bundle
     split = log_splitting_type(validate_arrangement(Scroll(2, 2), 0, 0))
-    assert set(split) == {DivisorClass(0, -2), DivisorClass(-2, 4)}
+    assert set(split.leaves()) == {DivisorClass(0, -2), DivisorClass(-2, 4)}
 
 
 def test_formula_coherence_at_e0():
@@ -78,9 +78,9 @@ def test_formula_coherence_at_e0():
     for s in (Scroll(1, 1), Scroll(2, 2), Scroll(3, 3)):
         for a in range(0, 9):
             b0 = log_splitting_type(validate_arrangement(s, a, 0))
-            assert set(b0) == {DivisorClass(0, a - 2), DivisorClass(-2, s.c)}
+            assert set(b0.leaves()) == {DivisorClass(0, a - 2), DivisorClass(-2, s.c)}
             b1 = log_splitting_type(validate_arrangement(s, a, 1))
-            assert set(b1) == {DivisorClass(0, a - 2), DivisorClass(-1, s.a0)}
+            assert set(b1.leaves()) == {DivisorClass(0, a - 2), DivisorClass(-1, s.a0)}
 
 
 def test_c1_additivity_everywhere():
@@ -91,7 +91,7 @@ def test_c1_additivity_everywhere():
 
 
 def test_chi_consistency_small_grid():
-    grid = twist_rectangle(2, 3)
+    grid = tuple(twist_rectangle((-2, 2), (-3, 3)))
     for s in LOG_SCROLLS:
         for arr in supported_arrangements(s, max_lines=5, max_curves=3):
             report = residue_consistency(arr, log_splitting_type(arr), grid)
@@ -102,8 +102,8 @@ def test_chi_consistency_small_grid():
 def test_perturbed_claim_fails():
     s = Scroll(2, 2)
     arr = validate_arrangement(s, 3, 2)
-    bogus = LineBundleSum((DivisorClass(0, 2), DivisorClass(0, 0)))
-    report = residue_consistency(arr, bogus, twist_rectangle(2, 3))
+    bogus = bundle_sum(DivisorClass(0, 2), DivisorClass(0, 0))
+    report = residue_consistency(arr, bogus, twist_rectangle((-2, 2), (-3, 3)))
     assert not report.c1_check
     assert not report.ok
 
@@ -111,7 +111,7 @@ def test_perturbed_claim_fails():
 def test_rank_must_be_two():
     arr = validate_arrangement(Scroll(2, 2), 3, 2)
     with pytest.raises(RankMismatch):
-        residue_consistency(arr, LineBundleSum((DivisorClass(0, 0),)), twist_rectangle(1, 1))
+        residue_consistency(arr, bundle_sum(DivisorClass(0, 0)), twist_rectangle((-1, 1), (-1, 1)))
 
 
 def test_h1_of_cotangent_bundle_is_two():
@@ -119,16 +119,16 @@ def test_h1_of_cotangent_bundle_is_two():
     # cotangent bundle carry one h^1 each
     for s in (Scroll(1, 1), Scroll(2, 2), Scroll(3, 3)):
         pieces = log_splitting_type(validate_arrangement(s, 0, 0))
-        total = sum(line_cohomology(s, d).h1 for d in pieces)
+        total = sum(line_cohomology(s, d).h1 for d in pieces.leaves())
         assert total == 2
-        assert all(line_cohomology(s, d).h0 == 0 for d in pieces)
+        assert all(line_cohomology(s, d).h0 == 0 for d in pieces.leaves())
 
 
 def test_classification_frozen():
     result = classify_regular_acm_log(Scroll(2, 2), 7, 4)
     assert [(a, b) for a, b, _ in result] == [(2, 2), (3, 2), (4, 2), (5, 2)]
     for a, b, split in result:
-        assert set(split) == {DivisorClass(0, a - 2), DivisorClass(0, 0)}
+        assert set(split.leaves()) == {DivisorClass(0, a - 2), DivisorClass(0, 0)}
     result = classify_regular_acm_log(Scroll(3, 3), 9, 4)
     assert [(a, b) for a, b, _ in result] == [(a, 2) for a in range(2, 8)]
 
@@ -145,7 +145,7 @@ def test_classification_hypotheses():
 
 
 def test_twist_rectangle_shape():
-    grid = twist_rectangle(1, 2)
+    grid = tuple(twist_rectangle((-1, 1), (-2, 2)))
     assert len(grid) == 3 * 5
     assert grid[0] == DivisorClass(-1, -2)
     assert grid[-1] == DivisorClass(1, 2)

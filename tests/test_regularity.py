@@ -13,7 +13,6 @@ from scrollcalc import (
     DivisorClass,
     EmptyBundle,
     Ext,
-    LineBundleSum,
     Scroll,
     Verdict,
     bundle_sum,
@@ -119,7 +118,7 @@ def test_regular_restrictions_have_no_h1(scroll):
     for d in grid(4, 6):
         if not regular_region(scroll, d):
             continue
-        b = LineBundleSum((d,))
+        b = bundle_sum(d)
         assert restricted_cohomology(scroll, b, DivisorClass(0, 1))[1] == 0
         assert restricted_cohomology(scroll, b, DivisorClass(1, 0))[1] == 0
 
@@ -130,7 +129,7 @@ def test_regular_h0_second_difference(scroll):
     for d in grid(4, 6):
         if not regular_region(scroll, d):
             continue
-        b = LineBundleSum((d,))
+        b = bundle_sum(d)
         up = sum_cohomology(scroll, b, DivisorClass(0, 1)).h0
         mid = sum_cohomology(scroll, b).h0
         down = sum_cohomology(scroll, b, DivisorClass(0, -1)).h0

@@ -54,7 +54,7 @@ def test_split_h_frozen_examples():
     s = Scroll(1, 2)
     v = decide_split_tH(s, bundle_sum(DivisorClass(0, 0), DivisorClass(2, 0)))
     assert v.outcome is Verdict.TRUE
-    assert sorted(d.h for d in v.witness) == [0, 2]
+    assert sorted(d.h for d in v.witness.leaves()) == [0, 2]
 
     v = decide_split_tH(s, bundle_sum(DivisorClass(0, 1)))
     assert v.outcome is Verdict.FALSE
@@ -70,7 +70,7 @@ def test_split_acm3_frozen_examples():
         Scroll(2, 3), bundle_sum(DivisorClass(0, 1), DivisorClass(3, 0), DivisorClass(1, -1))
     )
     assert v.outcome is Verdict.TRUE
-    assert v.witness.rank == 3
+    assert v.witness.rank() == 3
 
     s = Scroll(1, 2)
     v = decide_split_acm3(s, bundle_sum(DivisorClass(0, 2)))
@@ -85,7 +85,7 @@ def test_split_acm3_frozen_examples():
 def test_split_witness_rank_matches_input(scroll):
     b = bundle_sum(DivisorClass(0, 0), DivisorClass(1, 0), DivisorClass(-2, 0))
     v = decide_split_tH(scroll, b)
-    assert v.outcome is Verdict.TRUE and v.witness.rank == 3
+    assert v.outcome is Verdict.TRUE and v.witness.rank() == 3
 
 
 def test_family_twist_offsets(scroll):
@@ -279,8 +279,8 @@ def test_acm_gg_sums_satisfy_gg_vanishings(scroll):
                 for bb in range(0, 5):
                     t1 = DivisorClass(a - 1, bb)
                     t2 = DivisorClass(a, bb - 1)
-                    assert sum_cohomology(scroll, b.bundle, t1).h1 == 0
-                    assert sum_cohomology(scroll, b.bundle, t2).h1 == 0
+                    assert sum_cohomology(scroll, b, t1).h1 == 0
+                    assert sum_cohomology(scroll, b, t2).h1 == 0
 
 
 def test_make_ulrich_vanishing_grids(scroll):
