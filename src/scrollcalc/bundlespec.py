@@ -42,10 +42,9 @@ from .scroll import DivisorClass
 
 _PUNCT = "(),;+*^"
 
-# The parser recurses once per "ext(" nesting level, and format_bundle
-# once per Ext level of the folded tree.  The bound
-# turns a deep spec into a ParseError instead of a RecursionError, with
-# room for Ext depths up to 200, the top of the roadmap's depth-scaling
+# The parser recurses once per "ext(" nesting level.  The bound turns a
+# deep spec into a ParseError instead of a RecursionError, with room
+# for Ext depths up to 200, the top of the roadmap's depth-scaling
 # curve.
 MAX_EXT_DEPTH = 200
 
@@ -198,14 +197,26 @@ def parse_bundle_spec(text: str) -> BundleExpr:
     return expr
 
 
+def _format_sum(b: Sum) -> str:
+    if not b.terms:
+        return "0*O(0,0)"
+    return " + ".join(f"O({d.h},{d.f})" if n == 1 else f"{n}*O({d.h},{d.f})" for d, n in b.terms)
+
+
 def format_bundle(b: BundleExpr) -> str:
-    """Canonical text for a bundle expression."""
-    if isinstance(b, Sum):
-        if not b.terms:
-            return "0*O(0,0)"
-        return " + ".join(f"O({d.h},{d.f})" if n == 1 else f"{n}*O({d.h},{d.f})" for d, n in b.terms)
-    assert isinstance(b, Ext)
-    return f"ext({format_bundle(b.sub)}; {format_bundle(b.quot)})"
+    """Canonical text for a bundle expression, written left to right
+    from an explicit stack, so any depth prints without recursion."""
+    out: list[str] = []
+    todo: list[BundleExpr | str] = [b]  # a str is literal text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Ext):
+            todo += (")", item.quot, "; ", item.sub, "ext(")
+        else:
+            out.append(_format_sum(item))
+    return "".join(out)
 
 
 def normalize(text: str) -> str:

@@ -6,27 +6,34 @@ result: the JSON object and the lines of the plain form.  `main` builds
 the scroll and the bundle, calls the handler and prints the result,
 one JSON line under `--json` and the plain lines otherwise; it is the
 only place that writes to stdout.  `table` has no JSON form: it returns
-None and a lazy iterator of CSV rows, so rows stream one at a time.
+None and a lazy iterator of CSV rows.  The rows stream in chunks of
+TABLE_CHUNK twists, each chunk from one walk of the Ext tree, so memory
+does not grow with the width of `--twists`.
 
 JSON results share one envelope, `{"scroll", "input", <result fields>,
 "witnesses", "flags"}`; only `cohomology` keeps its own short shape.
 
 Exit codes: 0 when a result was computed (negative and indeterminate
 verdicts included), 2 for usage or bundle-spec parse errors, 3 for
-domain errors such as invalid scrolls or unsupported arrangements.
+domain errors such as invalid scrolls or unsupported arrangements, and
+141 (EXIT_BROKEN_PIPE) when stdout is closed before the output is all
+written, as in `scrollcalc table ... | head`; nothing goes to stderr
+then.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import os
 import sys
 
 from .bundlespec import format_bundle, parse_bundle_spec
 from .cohomology import line_cohomology
 from .errors import ParseError, RankMismatch, ScrollCalcError
-from .extensions import Probe, Sum, Verdict, extension_cohomology, ext1_dim
+from .extensions import Probe, Sum, Verdict, ext1_dim, extension_cohomology_batch
 from .logbundles import (
     classify_regular_acm_log,
     log_splitting_type,
@@ -44,6 +51,15 @@ from .splitting import (
     is_ulrich,
     make_ulrich,
 )
+
+# twists per walk of the Ext tree in `table`: rows stream chunk by
+# chunk, so memory stays flat however wide --twists is
+TABLE_CHUNK = 256
+
+# what `main` returns when the reader of stdout has gone away, as in
+# `scrollcalc table ... | head`: 128 + SIGPIPE, the status a shell
+# reports for a writer killed by the signal
+EXIT_BROKEN_PIPE = 141
 
 _SPLIT_WORDS = {Verdict.TRUE: "splits", Verdict.FALSE: "fails", Verdict.INDETERMINATE: "indeterminate"}
 
@@ -95,10 +111,11 @@ def _cmd_cohomology(args, s, b):
 def _cmd_table(args, s, b):
     def rows():
         yield "tH,tf,h0,h1,h2,chi"
-        for t in twist_rectangle(*args.twists):
-            iv = extension_cohomology(s, b, t)
-            cells = [str(iv.lo(i)) if iv.forced_at(i) else f"{iv.lo(i)}..{iv.hi(i)}" for i in range(3)]
-            yield f"{t.h},{t.f},{cells[0]},{cells[1]},{cells[2]},{iv.chi}"
+        twists = twist_rectangle(*args.twists)
+        while chunk := tuple(itertools.islice(twists, TABLE_CHUNK)):
+            for t, iv in zip(chunk, extension_cohomology_batch(s, b, chunk)):
+                cells = [str(iv.lo(i)) if iv.forced_at(i) else f"{iv.lo(i)}..{iv.hi(i)}" for i in range(3)]
+                yield f"{t.h},{t.f},{cells[0]},{cells[1]},{cells[2]},{iv.chi}"
 
     return None, rows()
 
@@ -202,18 +219,18 @@ def _cmd_log_check(args, s, b):
         if not isinstance(claimed, Sum):
             raise RankMismatch("the claimed splitting must be a direct sum of line bundles")
     report = residue_consistency(arr, claimed, twist_rectangle(*args.twists))
-    failed = [c for c in report.chi_checks if not c.ok]
     verdict = "true" if report.ok else "false"
     given = {"lines": args.lines, "curves": args.curves, "claimed": format_bundle(claimed)}
-    witnesses = [{"twist": [c.twist.h, c.twist.f], "lhs": c.lhs, "rhs": c.rhs} for c in failed[:5]]
+    failed = report.chi_failures
+    witnesses = [{"twist": [c.twist.h, c.twist.f], "lhs": c.lhs, "rhs": c.rhs} for c in failed]
     obj = _envelope(s, given, witnesses, verdict=verdict, c1_ok=report.c1_check,
-                    chi_total=len(report.chi_checks), chi_failed=len(failed))
+                    chi_total=report.chi_total, chi_failed=report.chi_failed)
     lines = [
         f"verdict: {verdict}",
         f"c1: {'ok' if report.c1_check else 'mismatch, expected ' + str(report.c1_expected)}",
-        f"chi: {len(report.chi_checks) - len(failed)}/{len(report.chi_checks)} ok",
+        f"chi: {report.chi_total - report.chi_failed}/{report.chi_total} ok",
     ]
-    return obj, lines + [f"chi mismatch at twist {c.twist}: claimed {c.lhs}, residue {c.rhs}" for c in failed[:5]]
+    return obj, lines + [f"chi mismatch at twist {c.twist}: claimed {c.lhs}, residue {c.rhs}" for c in failed]
 
 
 def _cmd_classify_log(args, s, b):
@@ -296,12 +313,30 @@ def main(argv=None) -> int:
         obj, lines = args.handler(args, s, b)
         if args.json:
             lines = [json.dumps(obj, separators=(",", ":"))]
-        for line in lines:
-            print(line)
+        try:
+            for line in lines:
+                print(line)
+        except BrokenPipeError:
+            _discard_stdout()
+            return EXIT_BROKEN_PIPE
     except ScrollCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 3
     return 0
+
+
+def _discard_stdout() -> None:
+    """Point a closed stdout's descriptor at devnull, so the interpreter's
+    final flush of the unsent rows cannot fail a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def console_main() -> None:

@@ -17,6 +17,8 @@ A direct sum of line bundles is a `Sum`: counted classes, the leaf
 node of the bundle trees in the extensions module.  Its cohomology is
 additive, so `sum_cohomology` and `restricted_cohomology` weight each
 distinct class by its count and never expand a multiplicity.
+`sum_cohomology_batch` evaluates one sum at a batch of twists, for the
+Ext kernel's leaves; `sum_cohomology` is its one-twist call.
 
 `euler_rr` is an independent oracle: it computes the Euler characteristic
 from the intersection form alone, chi(D) = 1 + D.(D-K)/2, and never
@@ -26,6 +28,7 @@ before anything downstream is trusted.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -113,14 +116,31 @@ def line_cohomology(s: Scroll, d: DivisorClass) -> CohomRecord:
 
 def sum_cohomology(s: Scroll, b: Sum, twist: DivisorClass = ZERO) -> CohomRecord:
     """Cohomology of a twisted direct sum: n*h^i per distinct class."""
-    a0, a1, th, tf = s.a0, s.a1, twist.h, twist.f
-    h0 = h1 = h2 = 0
-    for d, n in b.terms:
-        rec = _line_cohomology(a0, a1, d.h + th, d.f + tf)
-        h0 += n * rec.h0
-        h1 += n * rec.h1
-        h2 += n * rec.h2
-    return CohomRecord(h0, h1, h2)
+    return CohomRecord(*sum_cohomology_batch(s, b, (twist,))[0])
+
+
+def sum_cohomology_batch(
+    s: Scroll, b: Sum, twists: Iterable[DivisorClass]
+) -> list[tuple[int, int, int]]:
+    """(h^0, h^1, h^2) of a direct sum at each of `twists`, in order.
+
+    Plain tuples, not records, but held to the record's check: every
+    dimension is nonnegative.
+    """
+    a0, a1, terms = s.a0, s.a1, b.terms
+    out = []
+    for twist in twists:
+        th, tf = twist.h, twist.f
+        h0 = h1 = h2 = 0
+        for d, n in terms:
+            rec = _line_cohomology(a0, a1, d.h + th, d.f + tf)
+            h0 += n * rec.h0
+            h1 += n * rec.h1
+            h2 += n * rec.h2
+        if h0 < 0 or h1 < 0 or h2 < 0:
+            CohomRecord(h0, h1, h2)  # raises, with the record's message
+        out.append((h0, h1, h2))
+    return out
 
 
 def euler_rr(s: Scroll, d: DivisorClass) -> int:

@@ -18,30 +18,39 @@ separately, so in particular a degree is forced exact whenever both
 flanking groups vanish.  Euler characteristics are exact and additive
 regardless of the class.
 
-`extension_cohomology`, `rank()`, `leaves()` and `sums()` walk a tree
-iteratively, with an explicit stack and no recursion, so its depth is
-bounded by memory alone.  Consumers read the counted `terms` of the
+The interval kernel `_walk`, `rank()`, `leaves()` and `sums()` walk a
+tree iteratively, with an explicit stack and no recursion, so its depth
+is bounded by memory alone.  Consumers read the counted `terms` of the
 Sum nodes that `sums()` yields; only `leaves()` expands multiplicities.
-Every node, not just the root, is still checked against the
-`IntervalCohom` invariants (0 <= lo_i <= hi_i, chi inside the
-alternating-sum range).
+
+The kernel evaluates a batch of twists in one post-order walk: every
+node carries one value per twist, and each distinct Sum of the tree is
+evaluated once per walk, at all the twists together.
+`extension_cohomology_batch` is its entry point and
+`extension_cohomology` its one-twist call.  Every node at every twist,
+not just the root, is still checked against the `IntervalCohom`
+invariants of `_check_interval` (0 <= lo_i <= hi_i, chi inside the
+alternating-sum range), and a failure raises through it.
 
 Every decision procedure in the package (regularity, splitting, ACM,
 Ulrich, summand detection) asks whether finitely many h^i vanish, and
-they all read the answer with one rule, `_judge`, over `Probe`s built
-by `_probe`: FALSE as soon as some probe has lo > 0, which refutes
-every member of the class; otherwise TRUE when every hi is 0, which
-certifies every member; otherwise INDETERMINATE, with the probes whose
-hi > 0.  `INDETERMINATE` is an ordinary outcome, not an error.
+they all read the answer with one rule, `_judge`, over `Probe`s: FALSE
+as soon as some probe has lo > 0, which refutes every member of the
+class; otherwise TRUE when every hi is 0, which certifies every member;
+otherwise INDETERMINATE, with the probes whose hi > 0.  `INDETERMINATE`
+is an ordinary outcome, not an error.  A fixed probe plan, such as
+regularity's three probes or Ulrich's six, is read by `_probes` from one
+walk at the plan's twists; a lazy scan builds its probes one twist at a
+time with `_probe`, so it walks no twist past a refuting one.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .cohomology import Sum, line_cohomology, sum_cohomology
+from .cohomology import Sum, line_cohomology, sum_cohomology_batch
 from .scroll import ZERO, DivisorClass, Scroll
 
 
@@ -168,47 +177,88 @@ class IntervalCohom:
         return (self.lo0, self.lo1, self.lo2)
 
 
-def extension_cohomology(s: Scroll, b, twist: DivisorClass = ZERO) -> IntervalCohom:
-    """Interval cohomology of a bundle expression twisted by `twist`.
+_Value = tuple[int, int, int, int, int, int, int]  # (lo0, hi0, lo1, hi1, lo2, hi2, chi)
 
-    Sums evaluate exactly; Ext nodes combine the sub and quotient
-    intervals through the long exact sequence bounds above.  The tree is
-    walked in post-order from an explicit stack; intermediate values are
-    plain (lo0, hi0, lo1, hi1, lo2, hi2, chi) tuples, and only the root
-    becomes an `IntervalCohom`.
+
+def _walk(s: Scroll, b, twists: Sequence[DivisorClass]) -> list[_Value]:
+    """The interval kernel: one post-order walk for a batch of twists.
+
+    Every node carries one value per twist, a plain (lo0, hi0, lo1, hi1,
+    lo2, hi2, chi) tuple.  A Sum is evaluated exactly, once per distinct
+    `terms` within the walk; an Ext node combines its children twist by
+    twist through the long exact sequence bounds of the module
+    docstring, and each combined value must pass `_check_interval`.
     """
     todo: list[BundleExpr | None] = [as_bundle_expr(b)]  # None: combine the top two values
-    values: list[tuple[int, int, int, int, int, int, int]] = []
+    values: list[list[_Value]] = []
+    exact: dict[tuple, list[_Value]] = {}  # Sum terms -> its values; shared, never mutated
     while todo:
         node = todo.pop()
         if node is None:
-            ql0, qh0, ql1, qh1, ql2, qh2, qchi = values.pop()
-            sl0, sh0, sl1, sh1, sl2, sh2, schi = values.pop()
-            v = (
-                sl0 + max(ql0 - sh1, 0),
-                sh0 + qh0,
-                max(sl1 - qh0, 0) + max(ql1 - sh2, 0),
-                sh1 + qh1,
-                max(sl2 - qh1, 0) + ql2,
-                sh2 + qh2,
-                schi + qchi,
-            )
-            _check_interval(*v)
-            values.append(v)
+            quots = values.pop()
+            subs = values.pop()
+            combined = []
+            for (sl0, sh0, sl1, sh1, sl2, sh2, schi), (ql0, qh0, ql1, qh1, ql2, qh2, qchi) in zip(subs, quots):
+                # the bounds of the module docstring, with each max(x, 0)
+                # written as a conditional
+                lo0 = ql0 - sh1
+                lo0 = sl0 + lo0 if lo0 > 0 else sl0
+                lo1 = sl1 - qh0
+                lo1b = ql1 - sh2
+                lo1 = (lo1 if lo1 > 0 else 0) + (lo1b if lo1b > 0 else 0)
+                lo2 = sl2 - qh1
+                lo2 = lo2 + ql2 if lo2 > 0 else ql2
+                hi0, hi1, hi2, chi = sh0 + qh0, sh1 + qh1, sh2 + qh2, schi + qchi
+                # the condition of _check_interval, inlined; a failure
+                # raises through it, with its message
+                if not (
+                    0 <= lo0 <= hi0
+                    and 0 <= lo1 <= hi1
+                    and 0 <= lo2 <= hi2
+                    and lo0 - hi1 + lo2 <= chi <= hi0 - lo1 + hi2
+                ):
+                    _check_interval(lo0, hi0, lo1, hi1, lo2, hi2, chi)
+                combined.append((lo0, hi0, lo1, hi1, lo2, hi2, chi))
+            values.append(combined)
         elif isinstance(node, Sum):
-            # exact, so lo = hi and chi is the alternating sum; CohomRecord
-            # has already checked h^i >= 0
-            h0, h1, h2 = sum_cohomology(s, node, twist).as_tuple()
-            values.append((h0, h0, h1, h1, h2, h2, h0 - h1 + h2))
+            leaf = exact.get(node.terms)
+            if leaf is None:
+                # exact, so lo = hi and chi is the alternating sum; the
+                # batch has already checked h^i >= 0
+                leaf = exact[node.terms] = [
+                    (h0, h0, h1, h1, h2, h2, h0 - h1 + h2) for h0, h1, h2 in sum_cohomology_batch(s, node, twists)
+                ]
+            values.append(leaf)
         else:
             todo += (None, node.quot, node.sub)
-    return IntervalCohom(*values[0])
+    return values[0]
+
+
+def extension_cohomology_batch(s: Scroll, b, twists: Iterable[DivisorClass]) -> list[IntervalCohom]:
+    """Interval cohomology of a bundle expression at each of `twists`,
+    in order, from one walk of the tree."""
+    return [IntervalCohom(*v) for v in _walk(s, b, tuple(twists))]
+
+
+def extension_cohomology(s: Scroll, b, twist: DivisorClass = ZERO) -> IntervalCohom:
+    """Interval cohomology of a bundle expression twisted by `twist`:
+    the one-twist walk of the batch kernel."""
+    return IntervalCohom(*_walk(s, b, (twist,))[0])
 
 
 def _probe(s: Scroll, b, name: str, twist: DivisorClass, degree: int) -> Probe:
     """The interval of h^degree(b(twist)), as a named probe."""
     iv = extension_cohomology(s, b, twist)
     return Probe(name, twist, iv.lo(degree), iv.hi(degree))
+
+
+def _probes(s: Scroll, b, plan: Iterable[tuple[str, DivisorClass, int]]) -> tuple[Probe, ...]:
+    """Every (name, twist, degree) probe of a plan, from one walk over
+    the plan's distinct twists."""
+    plan = tuple(plan)
+    twists = tuple(dict.fromkeys(tw for _, tw, _ in plan))
+    at = dict(zip(twists, extension_cohomology_batch(s, b, twists)))
+    return tuple(Probe(name, tw, at[tw].lo(degree), at[tw].hi(degree)) for name, tw, degree in plan)
 
 
 def _judge(probes: Iterable[Probe]) -> ProbeVerdict:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyBundle
-from .extensions import Ext, Probe, Verdict, _judge, _probe, as_bundle_expr
+from .extensions import Ext, Probe, Verdict, _judge, _probes, as_bundle_expr
 from .scroll import DivisorClass, Scroll
 
 
@@ -62,7 +62,7 @@ def is_pp_regular(s: Scroll, b, p: int = 0, pp: int = 0) -> RegularityReport:
     """
     b = as_bundle_expr(b)
     base = DivisorClass(p, pp)
-    probes = tuple(_probe(s, b, name, base + shift, degree) for name, shift, degree in _probe_plan(s))
+    probes = _probes(s, b, ((name, base + shift, degree) for name, shift, degree in _probe_plan(s)))
     return RegularityReport(_judge(probes).verdict, probes)
 
 

@@ -43,6 +43,7 @@ from .extensions import (
     Verdict,
     _judge,
     _probe,
+    _probes,
     as_bundle_expr,
     forced_split,
 )
@@ -167,13 +168,14 @@ def _ulrich_probe_plan() -> tuple[tuple[str, DivisorClass, int], ...]:
 def is_ulrich(s: Scroll, b) -> ProbeVerdict:
     """Whether all of h^i(b(-H)) and h^i(b(-2H)) vanish, i = 0, 1, 2.
 
-    All six probes are evaluated; a TRUE or FALSE verdict carries all
-    six, an INDETERMINATE one only the unresolved.
+    All six probes are evaluated, from one walk of the tree at the two
+    twists; a TRUE or FALSE verdict carries all six, an INDETERMINATE
+    one only the unresolved.
     """
     b = as_bundle_expr(b)
     if b.rank() == 0:
         raise EmptyBundle("the Ulrich test needs a bundle of positive rank")
-    probes = tuple(_probe(s, b, name, tw, degree) for name, tw, degree in _ulrich_probe_plan())
+    probes = _probes(s, b, _ulrich_probe_plan())
     judged = _judge(probes)
     return judged if judged.verdict is Verdict.INDETERMINATE else replace(judged, probes=probes)
 
@@ -257,9 +259,9 @@ def detect_line_summand(s: Scroll, b) -> SummandVerdict:
         if cause.lo == 0:
             inconclusive.append(cause)
             continue  # cannot tell whether the cause fires
-        aux_probes = [_probe(s, b, *aux) for aux in auxiliaries]
+        aux_probes = _probes(s, b, auxiliaries)
         if all(pr.hi == 0 for pr in aux_probes):
-            return SummandVerdict(Verdict.TRUE, summand=summand, witness=cause, probes=tuple(aux_probes))
+            return SummandVerdict(Verdict.TRUE, summand=summand, witness=cause, probes=aux_probes)
         inconclusive.append(cause)
         inconclusive.extend(pr for pr in aux_probes if pr.hi > 0)
     if inconclusive:

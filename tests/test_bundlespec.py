@@ -1,7 +1,7 @@
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from scrollcalc import bundlespec
 from scrollcalc import (
@@ -221,3 +221,35 @@ def test_overlong_integer_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         parse_bundle_spec("O(0," + "1" * 5000 + ")")
     assert exc.value.offset == 4
+
+
+def recursive_format(b):
+    """The recursive definition of the canonical text."""
+    if isinstance(b, Sum):
+        if not b.terms:
+            return "0*O(0,0)"
+        return " + ".join(f"O({d.h},{d.f})" if n == 1 else f"{n}*O({d.h},{d.f})" for d, n in b.terms)
+    return f"ext({recursive_format(b.sub)}; {recursive_format(b.quot)})"
+
+
+@seed(20260305)
+@settings(max_examples=300, deadline=None)
+@given(exprs(5))
+def test_format_matches_recursive_reference(b):
+    assert format_bundle(b) == recursive_format(b)
+
+
+def test_format_of_empty_sum_inside_ext():
+    b = Ext(Sum(), Ext(bundle_sum(DivisorClass(0, 0), DivisorClass(0, 0)), Sum()))
+    assert format_bundle(b) == recursive_format(b) == "ext(0*O(0,0); ext(2*O(0,0); 0*O(0,0)))"
+
+
+def test_format_deep_chain_without_recursion():
+    # built directly, 10,000 Ext levels on each side, far past the
+    # interpreter's recursion limit
+    leaf = bundle_sum(DivisorClass(0, 0))
+    left = right = leaf
+    for _ in range(10_000):
+        left, right = Ext(left, leaf), Ext(leaf, right)
+    assert format_bundle(left) == "ext(" * 10_000 + "O(0,0)" + "; O(0,0))" * 10_000
+    assert format_bundle(right) == "ext(O(0,0); " * 10_000 + "O(0,0)" + ")" * 10_000

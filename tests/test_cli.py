@@ -1,9 +1,15 @@
+import io
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from scrollcalc.cli import main
+from scrollcalc import DivisorClass, Scroll, extension_cohomology, parse_bundle_spec
+from scrollcalc.cli import EXIT_BROKEN_PIPE, TABLE_CHUNK, main
 
 GOLDEN = Path(__file__).parent / "golden"
 MATRIX = json.loads((GOLDEN / "cli_matrix.json").read_text())
@@ -280,3 +286,69 @@ def test_indeterminate_is_a_result(capsys):
 )
 def test_billion_copies_through_the_cli(capsys, argv, out):
     assert run(capsys, *argv) == (0, out, "")
+
+
+TABLE_SPEC = "ext(O(-2,3) + O(0,1); ext(O(1,-1); O(0,2)))"
+
+
+def table_row(s, b, th, tf):
+    """One CSV row from a one-twist evaluation."""
+    iv = extension_cohomology(s, b, DivisorClass(th, tf))
+    cells = [str(iv.lo(i)) if iv.forced_at(i) else f"{iv.lo(i)}..{iv.hi(i)}" for i in range(3)]
+    return f"{th},{tf},{','.join(cells)},{iv.chi}"
+
+
+@pytest.mark.parametrize("cells", [TABLE_CHUNK - 1, TABLE_CHUNK, TABLE_CHUNK + 1])
+def test_table_walks_once_per_chunk(capsys, walks, cells):
+    # 255 and 257 cells as one row, 256 as two rows of 128; the rows
+    # match one-twist evaluations in order, and each chunk of the
+    # row-major stream costs one walk
+    rows, width = (2, cells // 2) if cells % 2 == 0 else (1, cells)
+    code, out, err = run(capsys, "table", "--scroll=1,2", f"--bundle={TABLE_SPEC}", f"--twists=-1:{rows - 2},-3:{width - 4}")
+    assert (code, err) == (0, "")
+    assert len(walks) == math.ceil(cells / TABLE_CHUNK)
+    assert sum(walks) == cells and max(walks) <= TABLE_CHUNK
+    s, b = Scroll(1, 2), parse_bundle_spec(TABLE_SPEC)
+    want = [table_row(s, b, th, tf) for th in range(-1, rows - 1) for tf in range(-3, width - 3)]
+    assert out.splitlines() == ["tH,tf,h0,h1,h2,chi"] + want
+
+
+class ClosedAfter(io.TextIOBase):
+    """A stdout whose reader goes away after `n` writes."""
+
+    def __init__(self, n):
+        self.left = n
+
+    def write(self, text):
+        if self.left == 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.left -= 1
+        return len(text)
+
+
+@pytest.mark.parametrize("writes", [0, 6])
+def test_broken_pipe_exits_quietly(capsys, monkeypatch, writes):
+    monkeypatch.setattr(sys, "stdout", ClosedAfter(writes))
+    code = main(["table", "--scroll=1,2", "--bundle=ext(O(0,0); O(1,1))", "--twists=0:0,-1000000:1000000"])
+    assert code == EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_broken_pipe_through_a_real_pipe():
+    # the reader closes its end after three lines; the writer exits with
+    # the documented code and writes nothing to stderr, not even at the
+    # interpreter's final flush
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["table", "--scroll=1,2", "--bundle=ext(O(0,0); O(1,1))", "--twists=0:0,-1000000:1000000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scrollcalc.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    s, b = Scroll(1, 2), parse_bundle_spec("ext(O(0,0); O(1,1))")
+    assert head == [f"{line}\n" for line in ("tH,tf,h0,h1,h2,chi", table_row(s, b, 0, -10**6), table_row(s, b, 0, 1 - 10**6))]
+    assert err == ""

@@ -16,17 +16,23 @@ from scrollcalc import (
     Scroll,
     Sum,
     Verdict,
+    ZERO,
     as_bundle_expr,
     bundle_sum,
     ext1_dim,
     extension_cohomology,
+    extension_cohomology_batch,
     forced_split,
     is_acm,
+    is_pp_regular,
+    is_ulrich,
     line_bundle,
     line_cohomology,
     reg,
     sum_cohomology,
 )
+
+from scrollcalc import extensions, regularity, splitting
 
 from conftest import TEST_SCROLLS
 
@@ -200,6 +206,72 @@ def reference_cohomology(s, b, t):
 def test_kernel_matches_recursive_reference(s, b, t):
     iv = extension_cohomology(s, b, t)
     assert ([iv.lo(i) for i in range(3)], [iv.hi(i) for i in range(3)], iv.chi) == reference_cohomology(s, b, t)
+
+
+def as_reference(iv):
+    return [iv.lo(i) for i in range(3)], [iv.hi(i) for i in range(3)], iv.chi
+
+
+@seed(20260304)
+@settings(max_examples=200, deadline=None)
+@given(scrolls, exprs(5), st.lists(divisors, max_size=8))
+def test_batch_matches_recursive_reference(s, b, twists):
+    # one walk at up to eight twists, repeats included, agrees twist by
+    # twist with the recursive definition
+    got = extension_cohomology_batch(s, b, twists)
+    assert [as_reference(iv) for iv in got] == [reference_cohomology(s, b, t) for t in twists]
+
+
+def test_batch_of_no_twists_is_empty():
+    b = Ext(line_bundle(0, 0), line_bundle(1, 0))
+    assert extension_cohomology_batch(Scroll(1, 2), b, ()) == []
+
+
+def test_batch_checks_every_node_at_every_twist(monkeypatch):
+    # leaf values that break 0 <= lo at the third of five twists only:
+    # the Ext node above them fails _check_interval there, with its
+    # message, while the same batch without that twist passes
+    s = Scroll(1, 2)
+    b = Ext(line_bundle(0, 0), Ext(line_bundle(1, 0), line_bundle(0, 1)))
+    twists = [DivisorClass(0, k) for k in range(5)]
+    real = extensions.sum_cohomology_batch
+
+    def corrupt(s, node, ts):
+        return [(-5, 0, 0) if t == twists[2] else h for t, h in zip(ts, real(s, node, ts))]
+
+    monkeypatch.setattr(extensions, "sum_cohomology_batch", corrupt)
+    with pytest.raises(ValueError, match=r"^degree 0: need 0 <= lo <= hi$"):
+        extension_cohomology_batch(s, b, twists)
+    rest = twists[:2] + twists[3:]
+    assert [as_reference(iv) for iv in extension_cohomology_batch(s, b, rest)] == [
+        reference_cohomology(s, b, t) for t in rest
+    ]
+
+
+def test_probe_plans_take_one_walk(walks):
+    # regularity reads three probes at three twists, Ulrich six at two,
+    # and reg on an Ext tests two values of p
+    s = Scroll(1, 2)
+    b = Ext(line_bundle(-2, 3), Ext(line_bundle(1, -1), line_bundle(0, 2)))
+    is_pp_regular(s, b, 1, 0)
+    is_ulrich(s, b)
+    reg(s, b)
+    assert walks == [3, 2, 3, 3]
+
+
+def test_probe_plans_match_single_twists():
+    s = Scroll(1, 2)
+    b = Ext(line_bundle(-2, 3), Ext(line_bundle(1, -1), line_bundle(0, 2)))
+    plans = (
+        (is_pp_regular(s, b, 1, 0).witnesses, regularity._probe_plan(s), DivisorClass(1, 0)),
+        (is_ulrich(s, b).probes, splitting._ulrich_probe_plan(), ZERO),
+    )
+    for probes, plan, base in plans:
+        assert len(probes) == len(plan)
+        for probe, (name, shift, degree) in zip(probes, plan):
+            iv = extension_cohomology(s, b, base + shift)
+            assert (probe.name, probe.twist) == (name, base + shift)
+            assert (probe.lo, probe.hi) == (iv.lo(degree), iv.hi(degree))
 
 
 @seed(20260302)

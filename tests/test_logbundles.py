@@ -17,13 +17,15 @@ from scrollcalc import (
     UnsupportedArrangement,
     bundle_sum,
     classify_regular_acm_log,
+    euler_rr,
     line_cohomology,
     log_splitting_type,
     residue_consistency,
     twist_rectangle,
     validate_arrangement,
 )
-from scrollcalc.logbundles import FORMULA_ONLY_FLAG
+from scrollcalc.logbundles import FORMULA_ONLY_FLAG, KEPT_FAILURES
+from scrollcalc.scroll import restriction_degree
 
 LOG_SCROLLS = (Scroll(1, 1), Scroll(2, 2), Scroll(3, 3), Scroll(1, 2), Scroll(1, 3))
 
@@ -106,6 +108,36 @@ def test_perturbed_claim_fails():
     report = residue_consistency(arr, bogus, twist_rectangle((-2, 2), (-3, 3)))
     assert not report.c1_check
     assert not report.ok
+
+
+def test_report_counts_match_a_brute_count():
+    # a bogus claim that fails at some twists of the rectangle but not
+    # all; the report counts every twist, keeps the first failures in
+    # grid order, and is ok exactly when nothing failed
+    s = Scroll(2, 2)
+    arr = validate_arrangement(s, 3, 2)
+    bogus = bundle_sum(DivisorClass(0, 2), DivisorClass(-1, 3))
+    grid = tuple(twist_rectangle((-2, 2), (-3, 3)))
+    brute = []
+    for tw in grid:
+        lhs = sum(euler_rr(s, d + tw) for d in bogus.leaves())
+        rhs = (
+            euler_rr(s, DivisorClass(0, -2) + tw)
+            + euler_rr(s, DivisorClass(-2, s.c) + tw)
+            + 3 * (restriction_degree(tw, DivisorClass(0, 1), s) + 1)
+            + 2 * (restriction_degree(tw, s.narrow_section(), s) + 1)
+        )
+        if lhs != rhs:
+            brute.append((tw, lhs, rhs))
+    assert KEPT_FAILURES < len(brute) < len(grid)
+    report = residue_consistency(arr, bogus, iter(grid))
+    assert (report.chi_total, report.chi_failed) == (len(grid), len(brute))
+    assert [(c.twist, c.lhs, c.rhs, c.ok) for c in report.chi_failures] == [
+        (tw, lhs, rhs, False) for tw, lhs, rhs in brute[:KEPT_FAILURES]
+    ]
+    assert not report.ok
+    good = residue_consistency(arr, log_splitting_type(arr), grid)
+    assert (good.chi_total, good.chi_failed, good.chi_failures, good.ok) == (len(grid), 0, (), True)
 
 
 def test_rank_must_be_two():
