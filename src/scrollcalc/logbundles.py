@@ -108,10 +108,12 @@ def log_splitting_type(arr: Arrangement) -> Sum:
 
 @dataclass(frozen=True)
 class ChiCheck:
+    """A twist where the claimed chi (lhs) differs from the residue
+    sequence's (rhs)."""
+
     twist: DivisorClass
     lhs: int
     rhs: int
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ def residue_consistency(
         if lhs != rhs:
             failed += 1
             if len(failures) < KEPT_FAILURES:
-                failures.append(ChiCheck(tw, lhs, rhs, False))
+                failures.append(ChiCheck(tw, lhs, rhs))
     return LogReport(claimed, c1_expected, claimed.c1() == c1_expected, total, failed, tuple(failures))
 
 
