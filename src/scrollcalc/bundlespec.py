@@ -13,13 +13,14 @@ O(0,3) + O(0,3).  The multiplicities of line bundles are stored as
 counts, never expanded, so "O(0,0)^1000000000" costs no more than
 "O(0,0)".
 
-A parsed expression is at most MAX_EXT_DEPTH Ext levels deep, counted
-on the folded tree below: "+" chains and multiplicities such as
-"N*ext(...)" add levels just as nested "ext(" atoms do.  An "ext" token
-nested past the bound is a ParseError at that token, raised before the
-parser descends into it; a term whose folding passes the bound is a
-ParseError at the start of that term, raised before its copies are
-built.
+The parser keeps the specs open around the current term on an explicit
+stack, so it has no depth limit of its own.  As a policy, a parsed
+expression is at most MAX_EXT_DEPTH Ext levels deep, counted on the
+folded tree below: "+" chains and multiplicities such as "N*ext(...)"
+add levels just as nested "ext(" atoms do.  An "ext" token nested past
+the bound is a ParseError at that token, raised once its "(" is read; a
+term whose folding passes the bound is a ParseError at the start of
+that term, raised before its copies are built.
 
 A "+" of plain line-bundle terms builds one Sum, with the counts of
 equal classes added.  When ext terms are mixed in, each run of adjacent
@@ -42,10 +43,10 @@ from .scroll import DivisorClass
 
 _PUNCT = "(),;+*^"
 
-# The parser recurses once per "ext(" nesting level.  The bound turns a
-# deep spec into a ParseError instead of a RecursionError, with room
-# for Ext depths up to 200, the top of the roadmap's depth-scaling
-# curve.
+# A policy, not a limit of the parser: room for Ext depths up to 200,
+# the top of the roadmap's depth-scaling curve.  It also keeps trees far
+# from the interpreter's recursion limit in Ext's dataclass-generated
+# ==, hash and repr, which still recurse.
 MAX_EXT_DEPTH = 200
 
 
@@ -61,9 +62,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             out.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(("int", text[i:j], i))
             i = j
@@ -87,46 +88,80 @@ def _int_value(tok: tuple[str, str, int]) -> int:
         raise ParseError(f"integer of {len(tok[1])} digits is too long", tok[2], ("int",)) from None
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.ext_depth = 0  # "ext(" atoms open around the current position
+def _expect(tok: tuple[str, str, int], kind: str) -> None:
+    if tok[0] != kind:
+        shown = tok[1] or "end of input"
+        raise ParseError(f"expected {kind!r}, found {shown!r}", tok[2], (kind,))
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _int(tok: tuple[str, str, int]) -> int:
+    _expect(tok, "int")
+    return _int_value(tok)
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
+
+def _nat(tok: tuple[str, str, int]) -> int:
+    _expect(tok, "int")
+    if tok[1].startswith("-"):
+        raise ParseError(f"expected a nonnegative count, found {tok[1]!r}", tok[2], ("nat",))
+    return _int_value(tok)
+
+
+def _fold(pieces: list) -> BundleExpr:
+    """A spec's pieces folded left into nested Ext nodes.  A piece is
+    an Ext atom or a list of (class, count) pairs, one per run of plain
+    terms, which becomes one Sum."""
+    if not pieces:
+        return Sum()
+    pieces = [Sum(tuple(p)) if isinstance(p, list) else p for p in pieces]
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out = Ext(out, piece)
+    return out
+
+
+def parse_bundle_spec(text: str) -> BundleExpr:
+    """Parse a bundle spec; errors carry byte offsets.
+
+    One loop reads the terms left to right.  The specs open around the
+    current term wait on an explicit stack, so any nesting depth parses
+    without recursion."""
+    tokens, pos = _tokenize(text), 0
+    # the spec being read: its pieces, the depth of their left fold and,
+    # in the quotient of an ext, the folded sub and its depth
+    pieces, depth, sub = [], 0, None
+    # per open "ext(": the enclosing spec's pieces, depth and sub, and
+    # the offset and count of the term that opened it
+    stack: list = []
+    while True:
+        offset = tokens[pos][2]
+        count = 1
+        if tokens[pos][0] == "int":
+            count = _nat(tokens[pos])
+            _expect(tokens[pos + 1], "*")
+            pos += 2
+        tok = tokens[pos]
+        if tok[0] != "name" or tok[1] not in ("O", "ext"):
             shown = tok[1] or "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", tok[2], (kind,))
-        return self.advance()
-
-    def parse_int(self) -> int:
-        return _int_value(self.expect("int"))
-
-    def parse_nat(self) -> int:
-        tok = self.expect("int")
-        if tok[1].startswith("-"):
-            raise ParseError(f"expected a nonnegative count, found {tok[1]!r}", tok[2], ("nat",))
-        return _int_value(tok)
-
-    def parse_spec(self) -> tuple[BundleExpr, int]:
-        """A spec folded into one expression, and its depth: the number
-        of Ext levels on its longest root-to-leaf path."""
-        # Ext atoms, and lists of (class, count) pairs for the runs of
-        # plain terms between them; each run becomes one Sum at the end
-        pieces: list = []
-        depth = 0  # of the left fold of `pieces`
+            raise ParseError(f"expected 'O' or 'ext', found {shown!r}", tok[2], ("O", "ext"))
+        _expect(tokens[pos + 1], "(")
+        pos += 2
+        if tok[1] == "ext":
+            if len(stack) == MAX_EXT_DEPTH:
+                raise ParseError(f"ext(...) nested deeper than {MAX_EXT_DEPTH} levels", tok[2], ("O",))
+            stack.append((pieces, depth, sub, offset, count))
+            pieces, depth, sub = [], 0, None
+            continue
+        h = _int(tokens[pos])
+        _expect(tokens[pos + 1], ",")
+        f = _int(tokens[pos + 2])
+        _expect(tokens[pos + 3], ")")
+        pos += 4
+        atom, atom_depth = DivisorClass(h, f), 0
+        # finish the term, then every spec and ext atom that ends with it
         while True:
-            offset = self.peek()[2]
-            atom, atom_depth, count = self.parse_term()
+            if tokens[pos][0] == "^":
+                count *= _nat(tokens[pos + 1])
+                pos += 2
             if isinstance(atom, DivisorClass):
                 if pieces and isinstance(pieces[-1], list):
                     pieces[-1].append((atom, count))
@@ -139,62 +174,23 @@ class _Parser:
                 if depth > MAX_EXT_DEPTH:
                     raise ParseError(f"ext(...) terms fold deeper than {MAX_EXT_DEPTH} levels", offset)
                 pieces += [atom] * count
-            if self.peek()[0] != "+":
+            tok = tokens[pos]
+            if tok[0] == "+":
+                pos += 1
                 break
-            self.advance()
-        if not pieces:
-            return Sum(), 0
-        pieces = [Sum(tuple(p)) if isinstance(p, list) else p for p in pieces]
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out = Ext(out, piece)
-        return out, depth
-
-    def parse_term(self) -> tuple[DivisorClass | Ext, int, int]:
-        """An atom, its depth and its multiplicity."""
-        count = 1
-        if self.peek()[0] == "int":
-            count = self.parse_nat()
-            self.expect("*")
-        atom, depth = self.parse_atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            count *= self.parse_nat()
-        return atom, depth, count
-
-    def parse_atom(self) -> tuple[DivisorClass | Ext, int]:
-        """A line bundle's class or an Ext node, and its depth."""
-        tok = self.peek()
-        if tok[0] != "name" or tok[1] not in ("O", "ext"):
-            shown = tok[1] or "end of input"
-            raise ParseError(f"expected 'O' or 'ext', found {shown!r}", tok[2], ("O", "ext"))
-        self.advance()
-        self.expect("(")
-        if tok[1] == "O":
-            h = self.parse_int()
-            self.expect(",")
-            f = self.parse_int()
-            self.expect(")")
-            return DivisorClass(h, f), 0
-        if self.ext_depth == MAX_EXT_DEPTH:
-            raise ParseError(f"ext(...) nested deeper than {MAX_EXT_DEPTH} levels", tok[2], ("O",))
-        self.ext_depth += 1
-        sub, sub_depth = self.parse_spec()
-        self.expect(";")
-        quot, quot_depth = self.parse_spec()
-        self.expect(")")
-        self.ext_depth -= 1
-        return Ext(sub, quot), 1 + max(sub_depth, quot_depth)
-
-
-def parse_bundle_spec(text: str) -> BundleExpr:
-    """Parse a bundle spec; errors carry byte offsets."""
-    parser = _Parser(text)
-    expr, _ = parser.parse_spec()
-    tok = parser.peek()
-    if tok[0] != "end":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("+", "end"))
-    return expr
+            if not stack:
+                if tok[0] != "end":
+                    raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("+", "end"))
+                return _fold(pieces)
+            if sub is None:
+                _expect(tok, ";")
+                pos += 1
+                sub, pieces, depth = (_fold(pieces), depth), [], 0
+                break
+            _expect(tok, ")")
+            pos += 1
+            atom, atom_depth = Ext(sub[0], _fold(pieces)), 1 + max(sub[1], depth)
+            pieces, depth, sub, offset, count = stack.pop()
 
 
 def _format_sum(b: Sum) -> str:

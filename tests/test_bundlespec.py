@@ -1,3 +1,4 @@
+import sys
 from unittest import mock
 
 import pytest
@@ -79,6 +80,8 @@ def test_mixed_plus_and_ext_folds():
         ("", 0),
         ("O(1,2) trailing", 7),
         ("O(1,2) @", 7),
+        ("O(\u00b2,0)", 2),
+        ("O(0,1\u00b2)", 5),
     ],
 )
 def test_error_offsets(text, offset):
@@ -86,6 +89,38 @@ def test_error_offsets(text, offset):
         parse_bundle_spec(text)
     assert exc.value.offset == offset
     assert f"(at offset {offset})" in str(exc.value)
+    if "\u00b2" in text:
+        # a digit that int() rejects is not part of an integer token
+        assert str(exc.value) == f"unexpected character '\u00b2' (at offset {offset})"
+
+
+def test_non_ascii_decimal_digits_parse():
+    assert format_bundle(parse_bundle_spec("O(\u0663,0)")) == "O(3,0)"
+
+
+NESTED_201 = "ext(" * 201 + "O(0,0)" + "; O(0,0))" * 201
+
+
+@pytest.mark.parametrize(
+    "text,message,offset,expected",
+    [
+        ("O(1,2) @", "unexpected character '@'", 7, ("token",)),
+        ("O(0," + "1" * 5000 + ")", "integer of 5000 digits is too long", 4, ("int",)),
+        ("O(1;2)", "expected ',', found ';'", 3, (",",)),
+        ("O(1,2)^-1", "expected a nonnegative count, found '-1'", 7, ("nat",)),
+        ("201*ext(O(0,0); O(0,0))", "ext(...) terms fold deeper than 200 levels", 0, ()),
+        ("Q(1,2)", "expected 'O' or 'ext', found 'Q'", 0, ("O", "ext")),
+        (NESTED_201, "ext(...) nested deeper than 200 levels", 800, ("O",)),
+        ("O(1,2) trailing", "trailing input 'trailing'", 7, ("+", "end")),
+    ],
+    ids=["character", "long-int", "token-kind", "nat", "fold", "atom", "nesting", "trailing"],
+)
+def test_each_parse_error_site(text, message, offset, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_bundle_spec(text)
+    assert str(exc.value) == f"{message} (at offset {offset})"
+    assert exc.value.offset == offset
+    assert exc.value.expected == expected
 
 
 @given(exprs())
@@ -133,6 +168,23 @@ def test_folded_depth_bound(text, offset):
 )
 def test_folded_depth_at_bound_parses(text, rank):
     assert parse_bundle_spec(text).rank() == rank
+
+
+def test_deep_nesting_parses_without_recursion():
+    # the parser keeps no Python frame per "ext(", so only the policy
+    # bound stops a deep spec; lifted, 100,000 levels parse at the
+    # interpreter's default recursion limit
+    n = 100_000
+    text = "ext(O(0,0); " * n + "O(0,0)" + ")" * n
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with mock.patch.object(bundlespec, "MAX_EXT_DEPTH", 10**6):
+            b = parse_bundle_spec(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert b.rank() == n + 1
+    assert format_bundle(b) == text
 
 
 def _ext_depth(b):
