@@ -120,7 +120,8 @@ def _fold(pieces: list) -> BundleExpr:
 
 
 def parse_bundle_spec(text: str) -> BundleExpr:
-    """Parse a bundle spec; errors carry byte offsets.
+    """Parse a bundle spec; errors carry character offsets, indices
+    into `text` as a str rather than into its UTF-8 bytes.
 
     One loop reads the terms left to right.  The specs open around the
     current term wait on an explicit stack, so any nesting depth parses

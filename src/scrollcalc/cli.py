@@ -6,8 +6,9 @@ result: the JSON object and the lines of the plain form.  `main` builds
 the scroll and the bundle, calls the handler and prints the result,
 one JSON line under `--json` and the plain lines otherwise; it is the
 only place that writes to stdout.  `table` has no JSON form: it returns
-None and a lazy iterator of CSV rows.  The rows stream in chunks of
-TABLE_CHUNK twists, each chunk from one walk of the Ext tree, so memory
+None and a lazy iterator of CSV rows.  The Ext tree is compiled once
+per invocation and the rows stream in batches of
+`extensions.BATCH_BOUND` twists, each batch from one walk, so memory
 does not grow with the width of `--twists`.
 
 JSON results share one envelope, `{"scroll", "input", <result fields>,
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -33,7 +33,7 @@ import sys
 from .bundlespec import format_bundle, parse_bundle_spec
 from .cohomology import line_cohomology
 from .errors import ParseError, RankMismatch, ScrollCalcError
-from .extensions import Probe, Sum, Verdict, ext1_dim, extension_cohomology_batch
+from .extensions import Probe, Sum, Verdict, ext1_dim, extension_cohomology_stream
 from .logbundles import (
     classify_regular_acm_log,
     log_splitting_type,
@@ -51,10 +51,6 @@ from .splitting import (
     is_ulrich,
     make_ulrich,
 )
-
-# twists per walk of the Ext tree in `table`: rows stream chunk by
-# chunk, so memory stays flat however wide --twists is
-TABLE_CHUNK = 256
 
 # what `main` returns when the reader of stdout has gone away, as in
 # `scrollcalc table ... | head`: 128 + SIGPIPE, the status a shell
@@ -111,11 +107,9 @@ def _cmd_cohomology(args, s, b):
 def _cmd_table(args, s, b):
     def rows():
         yield "tH,tf,h0,h1,h2,chi"
-        twists = twist_rectangle(*args.twists)
-        while chunk := tuple(itertools.islice(twists, TABLE_CHUNK)):
-            for t, iv in zip(chunk, extension_cohomology_batch(s, b, chunk)):
-                cells = [str(iv.lo(i)) if iv.forced_at(i) else f"{iv.lo(i)}..{iv.hi(i)}" for i in range(3)]
-                yield f"{t.h},{t.f},{cells[0]},{cells[1]},{cells[2]},{iv.chi}"
+        for t, iv in extension_cohomology_stream(s, b, twist_rectangle(*args.twists)):
+            cells = [str(iv.lo(i)) if iv.forced_at(i) else f"{iv.lo(i)}..{iv.hi(i)}" for i in range(3)]
+            yield f"{t.h},{t.f},{cells[0]},{cells[1]},{cells[2]},{iv.chi}"
 
     return None, rows()
 

@@ -61,7 +61,8 @@ class RankMismatch(ScrollCalcError):
 class ParseError(ScrollCalcError):
     """Bundle spec text is not in the grammar.
 
-    Carries the byte offset of the offending token and the set of token
+    Carries the character offset of the offending token, an index into
+    the text as a str (not into its UTF-8 bytes), and the set of token
     kinds that would have been accepted there.
     """
 

@@ -18,19 +18,22 @@ separately, so in particular a degree is forced exact whenever both
 flanking groups vanish.  Euler characteristics are exact and additive
 regardless of the class.
 
-The interval kernel `_walk`, `rank()`, `leaves()` and `sums()` walk a
-tree iteratively, with an explicit stack and no recursion, so its depth
-is bounded by memory alone.  Consumers read the counted `terms` of the
-Sum nodes that `sums()` yields; only `leaves()` expands multiplicities.
+`_compile`, `rank()`, `leaves()` and `sums()` walk a tree iteratively,
+with an explicit stack and no recursion, so its depth is bounded by
+memory alone.  Consumers read the counted `terms` of the Sum nodes that
+`sums()` yields; only `leaves()` expands multiplicities.
 
-The kernel evaluates a batch of twists in one post-order walk: every
-node carries one value per twist, and each distinct Sum of the tree is
-evaluated once per walk, at all the twists together.
-`extension_cohomology_batch` is its entry point and
-`extension_cohomology` its one-twist call.  Every node at every twist,
-not just the root, is still checked against the `IntervalCohom`
-invariants of `_check_interval` (0 <= lo_i <= hi_i, chi inside the
-alternating-sum range), and a failure raises through it.
+The interval kernel runs in two steps.  `_compile` turns a tree into a
+post-order program over its distinct Sums, deduplicated by `terms`;
+`_walk` runs that program at a batch of twists: every node carries one
+value per twist, and each distinct Sum is evaluated once per walk, at
+all the twists together.  `extension_cohomology_batch` compiles and
+walks once, `extension_cohomology` is its one-twist call, and
+`extension_cohomology_stream` compiles once and walks BATCH_BOUND
+twists at a time.  Every node at every twist, not just the root, is
+still checked against the `IntervalCohom` invariants of
+`_check_interval` (0 <= lo_i <= hi_i, chi inside the alternating-sum
+range), and a failure raises through it.
 
 Every decision procedure in the package (regularity, splitting, ACM,
 Ulrich, summand detection) asks whether finitely many h^i vanish, and
@@ -38,17 +41,23 @@ they all read the answer with one rule, `_judge`, over `Probe`s: FALSE
 as soon as some probe has lo > 0, which refutes every member of the
 class; otherwise TRUE when every hi is 0, which certifies every member;
 otherwise INDETERMINATE, with the probes whose hi > 0.  `INDETERMINATE`
-is an ordinary outcome, not an error.  A fixed probe plan, such as
-regularity's three probes or Ulrich's six, is read by `_probes` from one
-walk at the plan's twists; a lazy scan builds its probes one twist at a
-time with `_probe`, so it walks no twist past a refuting one.
+is an ordinary outcome, not an error.  One `_Evaluator` per decision
+compiles the tree once and turns (name, twist, degree) plan entries
+into probes, in plan order, remembering each twist it has walked, so no
+twist is walked twice in a decision.  A fixed plan, such as regularity's
+three probes or Ulrich's six, is read in one walk at its twists.  A lazy
+scan is read in batches of 1, 2, 4, ... entries, capped at BATCH_BOUND
+(256), each batch one walk: a scan that stops at its k-th probe has
+evaluated at most min(2k - 1, k + 255) entries.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from .cohomology import Sum, line_cohomology, sum_cohomology_batch
 from .scroll import ZERO, DivisorClass, Scroll
@@ -179,86 +188,145 @@ class IntervalCohom:
 
 _Value = tuple[int, int, int, int, int, int, int]  # (lo0, hi0, lo1, hi1, lo2, hi2, chi)
 
+# a compiled tree: its distinct Sums, and its nodes in post-order, each
+# the index of a Sum or _COMBINE for an Ext node
+_Program = tuple[tuple[Sum, ...], tuple[int, ...]]
+_COMBINE = -1
 
-def _walk(s: Scroll, b, twists: Sequence[DivisorClass]) -> list[_Value]:
-    """The interval kernel: one post-order walk for a batch of twists.
+# twists per walk, at most: `table` walks batches of this many, and a
+# lazy scan's batches double up to it
+BATCH_BOUND = 256
 
-    Every node carries one value per twist, a plain (lo0, hi0, lo1, hi1,
-    lo2, hi2, chi) tuple.  A Sum is evaluated exactly, once per distinct
-    `terms` within the walk; an Ext node combines its children twist by
-    twist through the long exact sequence bounds of the module
-    docstring, and each combined value must pass `_check_interval`.
-    """
-    todo: list[BundleExpr | None] = [as_bundle_expr(b)]  # None: combine the top two values
-    values: list[list[_Value]] = []
-    exact: dict[tuple, list[_Value]] = {}  # Sum terms -> its values; shared, never mutated
+
+def _compile(b) -> _Program:
+    """The post-order program of a bundle expression, built from an
+    explicit stack; Sums are deduplicated by `terms`."""
+    sums: list[Sum] = []
+    index: dict[tuple, int] = {}  # Sum terms -> position in sums
+    ops: list[int] = []
+    todo: list[BundleExpr | None] = [as_bundle_expr(b)]  # None: the Ext node above is complete
     while todo:
         node = todo.pop()
         if node is None:
-            quots = values.pop()
-            subs = values.pop()
-            combined = []
-            for (sl0, sh0, sl1, sh1, sl2, sh2, schi), (ql0, qh0, ql1, qh1, ql2, qh2, qchi) in zip(subs, quots):
-                # the bounds of the module docstring, with each max(x, 0)
-                # written as a conditional
-                lo0 = ql0 - sh1
-                lo0 = sl0 + lo0 if lo0 > 0 else sl0
-                lo1 = sl1 - qh0
-                lo1b = ql1 - sh2
-                lo1 = (lo1 if lo1 > 0 else 0) + (lo1b if lo1b > 0 else 0)
-                lo2 = sl2 - qh1
-                lo2 = lo2 + ql2 if lo2 > 0 else ql2
-                hi0, hi1, hi2, chi = sh0 + qh0, sh1 + qh1, sh2 + qh2, schi + qchi
-                # the condition of _check_interval, inlined; a failure
-                # raises through it, with its message
-                if not (
-                    0 <= lo0 <= hi0
-                    and 0 <= lo1 <= hi1
-                    and 0 <= lo2 <= hi2
-                    and lo0 - hi1 + lo2 <= chi <= hi0 - lo1 + hi2
-                ):
-                    _check_interval(lo0, hi0, lo1, hi1, lo2, hi2, chi)
-                combined.append((lo0, hi0, lo1, hi1, lo2, hi2, chi))
-            values.append(combined)
+            ops.append(_COMBINE)
         elif isinstance(node, Sum):
-            leaf = exact.get(node.terms)
-            if leaf is None:
-                # exact, so lo = hi and chi is the alternating sum; the
-                # batch has already checked h^i >= 0
-                leaf = exact[node.terms] = [
-                    (h0, h0, h1, h1, h2, h2, h0 - h1 + h2) for h0, h1, h2 in sum_cohomology_batch(s, node, twists)
-                ]
-            values.append(leaf)
+            i = index.setdefault(node.terms, len(sums))
+            if i == len(sums):
+                sums.append(node)
+            ops.append(i)
         else:
             todo += (None, node.quot, node.sub)
+    return tuple(sums), tuple(ops)
+
+
+def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[_Value]:
+    """The interval kernel: one run of a compiled tree for a batch of twists.
+
+    Every node carries one value per twist, a plain (lo0, hi0, lo1, hi1,
+    lo2, hi2, chi) tuple.  Each distinct Sum is evaluated exactly, once,
+    at all the twists together; an Ext node combines its children twist
+    by twist through the long exact sequence bounds of the module
+    docstring, and each combined value must pass `_check_interval`.
+    """
+    sums, ops = program
+    # exact, so lo = hi and chi is the alternating sum; the batch has
+    # already checked h^i >= 0.  Shared between ops, never mutated.
+    exact = [
+        [(h0, h0, h1, h1, h2, h2, h0 - h1 + h2) for h0, h1, h2 in sum_cohomology_batch(s, node, twists)]
+        for node in sums
+    ]
+    values: list[list[_Value]] = []
+    for op in ops:
+        if op != _COMBINE:
+            values.append(exact[op])
+            continue
+        quots = values.pop()
+        subs = values.pop()
+        combined = []
+        for (sl0, sh0, sl1, sh1, sl2, sh2, schi), (ql0, qh0, ql1, qh1, ql2, qh2, qchi) in zip(subs, quots):
+            # the bounds of the module docstring, with each max(x, 0)
+            # written as a conditional
+            lo0 = ql0 - sh1
+            lo0 = sl0 + lo0 if lo0 > 0 else sl0
+            lo1 = sl1 - qh0
+            lo1b = ql1 - sh2
+            lo1 = (lo1 if lo1 > 0 else 0) + (lo1b if lo1b > 0 else 0)
+            lo2 = sl2 - qh1
+            lo2 = lo2 + ql2 if lo2 > 0 else ql2
+            hi0, hi1, hi2, chi = sh0 + qh0, sh1 + qh1, sh2 + qh2, schi + qchi
+            # the condition of _check_interval, inlined; a failure
+            # raises through it, with its message
+            if not (
+                0 <= lo0 <= hi0
+                and 0 <= lo1 <= hi1
+                and 0 <= lo2 <= hi2
+                and lo0 - hi1 + lo2 <= chi <= hi0 - lo1 + hi2
+            ):
+                _check_interval(lo0, hi0, lo1, hi1, lo2, hi2, chi)
+            combined.append((lo0, hi0, lo1, hi1, lo2, hi2, chi))
+        values.append(combined)
     return values[0]
 
 
 def extension_cohomology_batch(s: Scroll, b, twists: Iterable[DivisorClass]) -> list[IntervalCohom]:
     """Interval cohomology of a bundle expression at each of `twists`,
     in order, from one walk of the tree."""
-    return [IntervalCohom(*v) for v in _walk(s, b, tuple(twists))]
+    return [IntervalCohom(*v) for v in _walk(s, _compile(b), tuple(twists))]
 
 
 def extension_cohomology(s: Scroll, b, twist: DivisorClass = ZERO) -> IntervalCohom:
     """Interval cohomology of a bundle expression twisted by `twist`:
     the one-twist walk of the batch kernel."""
-    return IntervalCohom(*_walk(s, b, (twist,))[0])
+    return IntervalCohom(*_walk(s, _compile(b), (twist,))[0])
 
 
-def _probe(s: Scroll, b, name: str, twist: DivisorClass, degree: int) -> Probe:
-    """The interval of h^degree(b(twist)), as a named probe."""
-    iv = extension_cohomology(s, b, twist)
-    return Probe(name, twist, iv.lo(degree), iv.hi(degree))
+def extension_cohomology_stream(
+    s: Scroll, b, twists: Iterable[DivisorClass]
+) -> Iterator[tuple[DivisorClass, IntervalCohom]]:
+    """Each of `twists` with the interval cohomology there, in order and
+    lazily: the tree is compiled once and walked BATCH_BOUND twists at a
+    time, so memory does not grow with the number of twists."""
+    program = _compile(b)
+    twists = iter(twists)
+    while batch := tuple(islice(twists, BATCH_BOUND)):
+        for twist, v in zip(batch, _walk(s, program, batch)):
+            yield twist, IntervalCohom(*v)
 
 
-def _probes(s: Scroll, b, plan: Iterable[tuple[str, DivisorClass, int]]) -> tuple[Probe, ...]:
-    """Every (name, twist, degree) probe of a plan, from one walk over
-    the plan's distinct twists."""
-    plan = tuple(plan)
-    twists = tuple(dict.fromkeys(tw for _, tw, _ in plan))
-    at = dict(zip(twists, extension_cohomology_batch(s, b, twists)))
-    return tuple(Probe(name, tw, at[tw].lo(degree), at[tw].hi(degree)) for name, tw, degree in plan)
+class _Evaluator:
+    """A bundle expression compiled once for one decision, with the value
+    of every twist it has walked, so no twist is walked twice.  It lives
+    as long as the decision, and holds one value per twist walked."""
+
+    def __init__(self, s: Scroll, b):
+        self.s = s
+        self.program = _compile(b)
+        self.values: dict[DivisorClass, _Value] = {}
+
+    def probes(self, plan: Iterable[tuple[str, DivisorClass, int]], batch: int = 1) -> Iterator[Probe]:
+        """The (name, twist, degree) probes of a plan, lazily and in plan order.
+
+        The plan is read `batch` entries at a time, then twice as many,
+        and so on up to BATCH_BOUND, and the twists of a batch not walked
+        before take one walk.  From the default first batch of one, a
+        reader that stops at the k-th probe has had at most
+        min(2k - 1, k + BATCH_BOUND - 1) entries evaluated.
+        """
+        plan = iter(plan)
+        values = self.values
+        while entries := tuple(islice(plan, batch)):
+            new = tuple(dict.fromkeys(tw for _, tw, _ in entries if tw not in values))
+            if new:
+                values.update(zip(new, _walk(self.s, self.program, new)))
+            for name, tw, degree in entries:
+                v = values[tw]
+                yield Probe(name, tw, v[2 * degree], v[2 * degree + 1])
+            batch = min(2 * batch, BATCH_BOUND)
+
+    def read(self, plan: Iterable[tuple[str, DivisorClass, int]]) -> tuple[Probe, ...]:
+        """Every probe of a fixed plan, from at most one walk."""
+        plan = tuple(plan)
+        return tuple(self.probes(plan, len(plan)))
 
 
 def _judge(probes: Iterable[Probe]) -> ProbeVerdict:
@@ -290,13 +358,46 @@ def forced_split(s: Scroll, b: BundleExpr) -> bool:
     leaf is zero at every Ext node, the only member of the class is the
     direct sum of the leaves.  Two leaves of different Sum nodes meet at
     exactly one Ext node, with the leaf further left on its sub side, so
-    the Sum nodes are walked left to right and each distinct leaf of one
-    is checked against each distinct leaf of the Sums before it.
+    the Sum nodes are walked left to right and each leaf q of one is
+    checked against the leaves t of the Sums before it.
+
+    Ext^1(O(q), O(t)) = h^1(O(t - q)), and with g(x) = x.h*a0 + x.f the
+    closed form of `h1_violating_h_twists` says it is nonzero iff
+
+    * t.h >= q.h and g(t) <= g(q) - 2, or
+    * t.h <= q.h - 2 and g(t) - g(q) >= c - 2*a0.
+
+    So each q asks for the least g(t) over t.h >= q.h and the greatest
+    over t.h <= q.h - 2: a suffix-min and a prefix-max Fenwick tree over
+    the ranks of the leaves' h answer both in O(log n).
     """
-    earlier: set[DivisorClass] = set()
-    for node in b.sums():
-        here = {d for d, _ in node.terms}
-        if any(ext1_dim(s, q, t) for q in here for t in earlier):
-            return False
-        earlier |= here
+    nodes = [[(d.h, d.h * s.a0 + d.f) for d, _ in node.terms] for node in b.sums()]
+    hs = sorted({h for leaves in nodes for h, _ in leaves})
+    n, gap = len(hs), s.c - 2 * s.a0
+    # least[i]: least g over a block of ranks counted from the top;
+    # greatest[i]: greatest g over a block counted from the bottom
+    least = [float("inf")] * (n + 1)
+    greatest = [float("-inf")] * (n + 1)
+    for leaves in nodes:
+        for h, g in leaves:
+            i = n - bisect_left(hs, h)  # the ranks with t.h >= h
+            while i:
+                if least[i] <= g - 2:
+                    return False
+                i &= i - 1
+            i = bisect_right(hs, h - 2)  # the ranks with t.h <= h - 2
+            while i:
+                if greatest[i] >= g + gap:
+                    return False
+                i &= i - 1
+        for h, g in leaves:
+            rank = bisect_left(hs, h)
+            i = n - rank
+            while i <= n:
+                least[i] = min(least[i], g)
+                i += i & -i
+            i = rank + 1
+            while i <= n:
+                greatest[i] = max(greatest[i], g)
+                i += i & -i
     return True

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyBundle
-from .extensions import Ext, Probe, Verdict, _judge, _probes, as_bundle_expr
+from .extensions import Ext, Probe, Verdict, _Evaluator, _judge, as_bundle_expr
 from .scroll import DivisorClass, Scroll
 
 
@@ -60,9 +60,13 @@ def is_pp_regular(s: Scroll, b, p: int = 0, pp: int = 0) -> RegularityReport:
     extensions module's vanishing rule over them.  Sum inputs always
     resolve one way or the other.
     """
-    b = as_bundle_expr(b)
+    return _pp_regular(_Evaluator(s, b), p, pp)
+
+
+def _pp_regular(evaluator: _Evaluator, p: int, pp: int) -> RegularityReport:
+    """`is_pp_regular` read through an evaluator a caller may share."""
     base = DivisorClass(p, pp)
-    probes = _probes(s, b, ((name, base + shift, degree) for name, shift, degree in _probe_plan(s)))
+    probes = evaluator.read((name, base + shift, degree) for name, shift, degree in _probe_plan(evaluator.s))
     return RegularityReport(_judge(probes).verdict, probes)
 
 

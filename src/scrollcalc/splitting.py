@@ -41,13 +41,12 @@ from .extensions import (
     ProbeVerdict,
     Sum,
     Verdict,
+    _Evaluator,
     _judge,
-    _probe,
-    _probes,
     as_bundle_expr,
     forced_split,
 )
-from .regularity import is_regular
+from .regularity import _pp_regular
 from .scroll import DivisorClass, Scroll
 
 
@@ -110,22 +109,28 @@ def violating_twists(s: Scroll, b: BundleExpr, offset: int) -> tuple[tuple[int, 
     return tuple(merged)
 
 
-def _scan_families(s: Scroll, b: BundleExpr, families: tuple[tuple[str, int], ...]) -> Iterator[Probe]:
-    """The h^1 probes of every violating twist, family-major, t ascending.
+def _scan_families(
+    s: Scroll, b: BundleExpr, families: tuple[tuple[str, int], ...]
+) -> Iterator[tuple[str, DivisorClass, int]]:
+    """The lazy plan of a scan: the h^1 probe of every violating twist,
+    family-major, t ascending.
 
-    Lazy, so a judge that stops at a failure evaluates nothing past it.
+    The evaluator reads it in batches of 1, 2, 4, ... entries up to
+    BATCH_BOUND, so a judge that stops at a failure has only that
+    failure's batch evaluated, and a family that repeats an earlier
+    f-offset reads the values of its twists walked already.
     """
     for name, offset in families:
         for lo, hi in violating_twists(s, b, offset):
             for t in range(lo, hi + 1):
-                yield _probe(s, b, name, DivisorClass(t, offset), 1)
+                yield name, DivisorClass(t, offset), 1
 
 
 def _decide(s: Scroll, b, families) -> SplitVerdict:
     b = as_bundle_expr(b)
     if b.rank() == 0:
         raise EmptyBundle("splitting criteria need a bundle of positive rank")
-    judged = _judge(_scan_families(s, b, families))
+    judged = _judge(_Evaluator(s, b).probes(_scan_families(s, b, families)))
     if judged.verdict is not Verdict.TRUE:
         return SplitVerdict(judged.verdict, failure=judged.witness, probes=judged.probes)
     # conditions hold for every member of the class; the summand multiset
@@ -154,7 +159,7 @@ def is_acm(s: Scroll, b) -> ProbeVerdict:
     b = as_bundle_expr(b)
     if b.rank() == 0:
         raise EmptyBundle("the ACM test needs a bundle of positive rank")
-    return _judge(_scan_families(s, b, (("h1(E(tH))", 0),)))
+    return _judge(_Evaluator(s, b).probes(_scan_families(s, b, (("h1(E(tH))", 0),))))
 
 
 def _ulrich_probe_plan() -> tuple[tuple[str, DivisorClass, int], ...]:
@@ -175,7 +180,7 @@ def is_ulrich(s: Scroll, b) -> ProbeVerdict:
     b = as_bundle_expr(b)
     if b.rank() == 0:
         raise EmptyBundle("the Ulrich test needs a bundle of positive rank")
-    probes = _probes(s, b, _ulrich_probe_plan())
+    probes = _Evaluator(s, b).read(_ulrich_probe_plan())
     judged = _judge(probes)
     return judged if judged.verdict is Verdict.INDETERMINATE else replace(judged, probes=probes)
 
@@ -246,20 +251,20 @@ def detect_line_summand(s: Scroll, b) -> SummandVerdict:
     one wins.  A FALSE verdict means no cause fires, i.e. b(-H) is still
     regular.  Raises NotRegular unless the input is certified regular.
     """
-    b = as_bundle_expr(b)
-    report = is_regular(s, b)
+    evaluator = _Evaluator(s, b)
+    report = _pp_regular(evaluator, 0, 0)
     if report.verdict is not Verdict.TRUE:
         state = "fails" if report.verdict is Verdict.FALSE else "cannot be certified"
         raise NotRegular(f"summand detection needs a regular input; regularity {state}")
     inconclusive: list[Probe] = []
     for name, tw, degree, summand, auxiliaries in _summand_cases(s):
-        cause = _probe(s, b, name, tw, degree)
+        (cause,) = evaluator.read(((name, tw, degree),))
         if cause.hi == 0:
             continue  # this cause is definitely absent
         if cause.lo == 0:
             inconclusive.append(cause)
             continue  # cannot tell whether the cause fires
-        aux_probes = _probes(s, b, auxiliaries)
+        aux_probes = evaluator.read(auxiliaries)
         if all(pr.hi == 0 for pr in aux_probes):
             return SummandVerdict(Verdict.TRUE, summand=summand, witness=cause, probes=aux_probes)
         inconclusive.append(cause)

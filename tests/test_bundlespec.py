@@ -82,6 +82,8 @@ def test_mixed_plus_and_ext_folds():
         ("O(1,2) @", 7),
         ("O(\u00b2,0)", 2),
         ("O(0,1\u00b2)", 5),
+        # character offsets, not UTF-8 bytes: '@' is byte 8 of this text
+        ("O(\u0663,0) @", 7),
     ],
 )
 def test_error_offsets(text, offset):

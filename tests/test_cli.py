@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from scrollcalc import DivisorClass, Scroll, extension_cohomology, parse_bundle_spec
-from scrollcalc.cli import EXIT_BROKEN_PIPE, TABLE_CHUNK, main
+from scrollcalc.cli import EXIT_BROKEN_PIPE, main
+from scrollcalc.extensions import BATCH_BOUND
 
 GOLDEN = Path(__file__).parent / "golden"
 MATRIX = json.loads((GOLDEN / "cli_matrix.json").read_text())
@@ -298,7 +299,7 @@ def table_row(s, b, th, tf):
     return f"{th},{tf},{','.join(cells)},{iv.chi}"
 
 
-@pytest.mark.parametrize("cells", [TABLE_CHUNK - 1, TABLE_CHUNK, TABLE_CHUNK + 1])
+@pytest.mark.parametrize("cells", [BATCH_BOUND - 1, BATCH_BOUND, BATCH_BOUND + 1])
 def test_table_walks_once_per_chunk(capsys, walks, cells):
     # 255 and 257 cells as one row, 256 as two rows of 128; the rows
     # match one-twist evaluations in order, and each chunk of the
@@ -306,8 +307,8 @@ def test_table_walks_once_per_chunk(capsys, walks, cells):
     rows, width = (2, cells // 2) if cells % 2 == 0 else (1, cells)
     code, out, err = run(capsys, "table", "--scroll=1,2", f"--bundle={TABLE_SPEC}", f"--twists=-1:{rows - 2},-3:{width - 4}")
     assert (code, err) == (0, "")
-    assert len(walks) == math.ceil(cells / TABLE_CHUNK)
-    assert sum(walks) == cells and max(walks) <= TABLE_CHUNK
+    assert len(walks) == math.ceil(cells / BATCH_BOUND)
+    assert sum(walks) == cells and max(walks) <= BATCH_BOUND
     s, b = Scroll(1, 2), parse_bundle_spec(TABLE_SPEC)
     want = [table_row(s, b, th, tf) for th in range(-1, rows - 1) for tf in range(-3, width - 3)]
     assert out.splitlines() == ["tH,tf,h0,h1,h2,chi"] + want

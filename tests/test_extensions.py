@@ -6,6 +6,8 @@ term (direct sum of the two sides) is one realizable choice, so its
 exact values must always land inside; chi must match exactly.
 """
 
+import random
+
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -43,11 +45,11 @@ divisors = st.builds(
 sums = st.lists(divisors, min_size=1, max_size=3).map(lambda ds: bundle_sum(*ds))
 
 
-def exprs(depth=2):
+def exprs(depth=2, leaf=sums):
     if depth == 0:
-        return sums
-    inner = exprs(depth - 1)
-    return st.one_of(sums, st.builds(Ext, inner, inner))
+        return leaf
+    inner = exprs(depth - 1, leaf)
+    return st.one_of(leaf, st.builds(Ext, inner, inner))
 
 
 @given(scrolls, exprs(), divisors)
@@ -161,6 +163,50 @@ def reference_forced_split(s, b):
 @given(scrolls, exprs(5))
 def test_forced_split_matches_recursive_reference(s, b):
     assert forced_split(s, b) == reference_forced_split(s, b)
+
+
+def pairwise_forced_split(s, b):
+    """The quadratic loop: each distinct leaf of a Sum against each
+    distinct leaf of the Sums before it, one ext1_dim per pair."""
+    earlier = set()
+    for node in b.sums():
+        here = {d for d, _ in node.terms}
+        if any(ext1_dim(s, q, t) for q in here for t in earlier):
+            return False
+        earlier |= here
+    return True
+
+
+wide_divisors = st.builds(
+    DivisorClass, st.integers(min_value=-12, max_value=12), st.integers(min_value=-30, max_value=30)
+)
+wide_sums = st.lists(wide_divisors, min_size=1, max_size=4).map(lambda ds: bundle_sum(*ds))
+
+
+@seed(20261019)
+@settings(max_examples=400, deadline=None)
+@given(scrolls, st.one_of(exprs(5), exprs(5, wide_sums)))
+def test_forced_split_matches_pairwise_loop(s, b):
+    assert forced_split(s, b) == pairwise_forced_split(s, b)
+
+
+def test_forced_split_matches_pairwise_loop_on_400_leaves():
+    # seeded chains of 400 leaves, each leaf its own Sum; the first is
+    # forced split (Ext^1 between h-twists of O vanishes), the others
+    # mix both branches of the h^1 closed form
+    rng = random.Random(20261020)
+    s = Scroll(1, 2)
+    chains = [[DivisorClass(k, 0) for k in range(400)]]
+    for spread in (3, 10, 40):
+        chains.append([DivisorClass(rng.randint(-spread, spread), rng.randint(-3 * spread, 3 * spread)) for _ in range(400)])
+    got = []
+    for leaves in chains:
+        b = line_bundle(leaves[0].h, leaves[0].f)
+        for d in leaves[1:]:
+            b = Ext(b, line_bundle(d.h, d.f))
+        got.append(forced_split(s, b))
+        assert got[-1] == pairwise_forced_split(s, b)
+    assert got[0] is True and False in got
 
 
 def test_forced_split_on_deep_chain():

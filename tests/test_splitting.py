@@ -7,7 +7,7 @@ count) and in the acceptance suite (full count).
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from scrollcalc import (
     DivisorClass,
@@ -15,6 +15,7 @@ from scrollcalc import (
     Ext,
     NegativeCount,
     NotRegular,
+    Probe,
     Scroll,
     Verdict,
     bundle_sum,
@@ -23,6 +24,7 @@ from scrollcalc import (
     detect_line_summand,
     ext1_dim,
     extension_cohomology,
+    forced_split,
     is_acm,
     is_regular,
     is_ulrich,
@@ -40,6 +42,7 @@ from scrollcalc.harness import (
     splits_into_h_twists,
     splits_into_three_types,
 )
+from scrollcalc.extensions import BATCH_BOUND
 from scrollcalc.splitting import acm3_families, th_families
 
 from conftest import TEST_SCROLLS
@@ -149,31 +152,80 @@ def test_acm_frozen_examples():
     assert is_acm(Scroll(1, 2), bundle_sum(DivisorClass(0, -1))).verdict is Verdict.TRUE
 
 
-def test_scan_stops_at_first_failure(monkeypatch):
+def test_scan_stops_at_first_failure(walks):
     # O(-10^6 f) on S(1,2) violates every scanned family on an interval
     # about 10^6 twists wide, and a Sum's first violating twist already
-    # refutes it, so each decision evaluates exactly one probe
+    # refutes it, so each decision walks its first batch, one twist, only
     s, b = Scroll(1, 2), line_bundle(0, -10**6)
-    real = extensions.extension_cohomology
-    calls = []
-
-    def once(*args):
-        if calls:
-            raise AssertionError("probed past the first failure")
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(extensions, "extension_cohomology", once)
-
-    def run(decide):
-        calls.clear()
+    for decide in (decide_split_tH, decide_split_acm3, is_acm):
+        walks.clear()
         v = decide(s, b)
-        assert len(calls) == 1
-        return v
+        assert (v.witness if decide is is_acm else v.failure).lo > 0
+        assert walks == [1]
 
-    assert run(decide_split_tH).failure.lo > 0
-    assert run(decide_split_acm3).failure.lo > 0
-    assert run(is_acm).witness.lo > 0
+
+def reference_scan(s, b, families):
+    """The scan twist by twist: one extension_cohomology per violating
+    twist, family-major, t ascending, read by the vanishing rule."""
+    unresolved = []
+    for name, offset in families:
+        for lo, hi in violating_twists(s, b, offset):
+            for t in range(lo, hi + 1):
+                twist = DivisorClass(t, offset)
+                iv = extension_cohomology(s, b, twist)
+                probe = Probe(name, twist, iv.lo(1), iv.hi(1))
+                if probe.lo > 0:
+                    return Verdict.FALSE, probe, ()
+                if probe.hi > 0:
+                    unresolved.append(probe)
+    return (Verdict.INDETERMINATE if unresolved else Verdict.TRUE), None, tuple(unresolved)
+
+
+def exprs(depth):
+    leaf = st.lists(divisors, min_size=1, max_size=3).map(lambda ds: bundle_sum(*ds))
+    if depth == 0:
+        return leaf
+    inner = exprs(depth - 1)
+    return st.one_of(leaf, st.builds(Ext, inner, inner))
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(scrolls, exprs(5))
+def test_batched_scans_match_twist_by_twist_reference(s, b):
+    verdict, witness, probes = reference_scan(s, b, (("h1(E(tH))", 0),))
+    v = is_acm(s, b)
+    assert (v.verdict, v.witness, v.probes) == (verdict, witness, probes)
+    for decide, families in ((decide_split_tH, th_families(s)), (decide_split_acm3, acm3_families(s))):
+        verdict, witness, probes = reference_scan(s, b, families)
+        if verdict is Verdict.TRUE and not forced_split(s, b):
+            verdict = Verdict.INDETERMINATE
+        v = decide(s, b)
+        assert (v.outcome, v.failure, v.probes) == (verdict, witness, probes)
+
+
+def test_scan_batches_double_and_walk_each_twist_once(monkeypatch):
+    # on S(1,1) all four three-type families have f-offset 0, and this
+    # class has lo = 0 < hi on 998 twists, so the scan reads 4 * 998
+    # probes: the first family's batches double up to the bound, and the
+    # three repeats of its offset walk nothing
+    s = Scroll(1, 1)
+    b = Ext(line_bundle(0, -500), line_bundle(0, 500))
+    assert {offset for _, offset in acm3_families(s)} == {0}
+    walked = []
+    real = extensions._walk
+
+    def recording(s, program, twists):
+        walked.append(twists)
+        return real(s, program, twists)
+
+    monkeypatch.setattr(extensions, "_walk", recording)
+    v = decide_split_acm3(s, b)
+    distinct = [DivisorClass(t, 0) for lo, hi in violating_twists(s, b, 0) for t in range(lo, hi + 1)]
+    assert v.outcome is Verdict.INDETERMINATE and len(v.probes) == 4 * len(distinct) == 4 * 998
+    assert BATCH_BOUND == 256
+    assert [len(w) for w in walked] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 231]
+    assert [t for w in walked for t in w] == distinct
 
 
 def test_acm_fibre_twist_classification(scroll):
