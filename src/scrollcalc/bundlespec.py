@@ -197,7 +197,7 @@ def parse_bundle_spec(text: str) -> BundleExpr:
 def _format_sum(b: Sum) -> str:
     if not b.terms:
         return "0*O(0,0)"
-    return " + ".join(f"O({d.h},{d.f})" if n == 1 else f"{n}*O({d.h},{d.f})" for d, n in b.terms)
+    return " + ".join(str(d) if n == 1 else f"{n}*{d}" for d, n in b.terms)
 
 
 def format_bundle(b: BundleExpr) -> str:

@@ -39,7 +39,6 @@ from .logbundles import (
     log_splitting_type,
     residue_consistency,
     validate_arrangement,
-    FORMULA_ONLY_FLAG,
 )
 from .regularity import is_pp_regular, reg
 from .scroll import DivisorClass, Scroll, twist_rectangle
@@ -119,9 +118,9 @@ def _cmd_regularity(args, s, b):
     r = reg(s, b)
     reg_out = r if isinstance(r, int) else r.value
     given = {"bundle": format_bundle(b), "p": args.p, "pp": args.pp}
-    obj = _envelope(s, given, map(_probe_obj, report.witnesses), verdict=report.verdict.value, reg=reg_out)
+    obj = _envelope(s, given, map(_probe_obj, report.probes), verdict=report.verdict.value, reg=reg_out)
     lines = [f"verdict: {report.verdict.value}", f"reg: {reg_out}"]
-    return obj, lines + [f"probe: {p.describe()}" for p in report.witnesses]
+    return obj, lines + [f"probe: {p.describe()}" for p in report.probes]
 
 
 def _cmd_split(s, b, decide):
@@ -199,7 +198,7 @@ def _cmd_ext1(args, s, b):
 def _cmd_log(args, s, b):
     arr = validate_arrangement(s, args.lines, args.curves)
     splitting = format_bundle(log_splitting_type(arr))
-    flags = {"supported": arr.supported, "formula_only": FORMULA_ONLY_FLAG in arr.flags}
+    flags = {"supported": arr.supported, "formula_only": arr.formula_only}
     obj = _envelope(s, {"lines": args.lines, "curves": args.curves}, flags=flags, splitting=splitting)
     return obj, [f"splitting: {splitting}"] + [f"{key}: {str(value).lower()}" for key, value in flags.items()]
 

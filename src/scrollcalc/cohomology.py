@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .errors import NegativeCount, OddIntersection, UnsupportedCurveClass
 from .p1 import P1Sum, p1_cohomology, sym_decompose
-from .scroll import ZERO, DivisorClass, Scroll, intersect, restriction_degree
+from .scroll import ZERO, DivisorClass, Scroll, intersect
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,6 @@ class CohomRecord:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.h0, self.h1, self.h2)
-
-    def __getitem__(self, i: int) -> int:
-        return self.as_tuple()[i]
 
 
 @dataclass(frozen=True)
@@ -183,7 +180,7 @@ def restricted_cohomology(
     Supported curve classes: the fibre (0,1), the hyperplane section
     (1,0) and the narrow section (1,-a1).  All three are smooth rational,
     so the restriction is a sum of line bundles on P^1 with degrees given
-    by the intersection pairing.
+    by the intersection pairing: O(d)|_C has degree d.C.
     """
     allowed = (DivisorClass(0, 1), DivisorClass(1, 0), DivisorClass(1, -s.a1))
     if curve not in allowed:
@@ -193,7 +190,7 @@ def restricted_cohomology(
         )
     h0 = h1 = 0
     for d, n in b.terms:
-        p0, p1 = p1_cohomology(P1Sum((restriction_degree(d + twist, curve, s),)))
+        p0, p1 = p1_cohomology(P1Sum((intersect(d + twist, curve, s),)))
         h0 += n * p0
         h1 += n * p1
     return (h0, h1)

@@ -27,13 +27,12 @@ The interval kernel runs in two steps.  `_compile` turns a tree into a
 post-order program over its distinct Sums, deduplicated by `terms`;
 `_walk` runs that program at a batch of twists: every node carries one
 value per twist, and each distinct Sum is evaluated once per walk, at
-all the twists together.  `extension_cohomology_batch` compiles and
-walks once, `extension_cohomology` is its one-twist call, and
-`extension_cohomology_stream` compiles once and walks BATCH_BOUND
-twists at a time.  Every node at every twist, not just the root, is
-still checked against the `IntervalCohom` invariants of
-`_check_interval` (0 <= lo_i <= hi_i, chi inside the alternating-sum
-range), and a failure raises through it.
+all the twists together.  `extension_cohomology_stream` is the batch
+API: it compiles once and walks BATCH_BOUND twists at a time.
+`extension_cohomology` compiles and walks for one twist.  Every node
+at every twist, not just the root, is still checked against the
+`IntervalCohom` invariants of `_check_interval` (0 <= lo_i <= hi_i, chi
+inside the alternating-sum range), and a failure raises through it.
 
 Every decision procedure in the package (regularity, splitting, ACM,
 Ulrich, summand detection) asks whether finitely many h^i vanish, and
@@ -45,7 +44,8 @@ is an ordinary outcome, not an error.  One `_Evaluator` per decision
 compiles the tree once and turns (name, twist, degree) plan entries
 into probes, in plan order, remembering each twist it has walked, so no
 twist is walked twice in a decision.  A fixed plan, such as regularity's
-three probes or Ulrich's six, is read in one walk at its twists.  A lazy
+three probes, reg's three or six or Ulrich's six, is read in one walk
+at its twists.  A lazy
 scan is read in batches of 1, 2, 4, ... entries, capped at BATCH_BOUND
 (256), each batch one walk: a scan that stops at its k-th probe has
 evaluated at most min(2k - 1, k + 255) entries.
@@ -90,7 +90,9 @@ class Probe:
 @dataclass(frozen=True)
 class ProbeVerdict:
     """A verdict read off probes: FALSE carries the refuting probe as its
-    witness, INDETERMINATE the unresolved probes."""
+    witness.  A fixed plan carries every probe it read (regularity
+    always, Ulrich on TRUE or FALSE); a scan, and Ulrich on
+    INDETERMINATE, carries the unresolved probes."""
 
     verdict: Verdict
     witness: Probe | None = None
@@ -162,10 +164,6 @@ class IntervalCohom:
     def __post_init__(self) -> None:
         _check_interval(self.lo0, self.hi0, self.lo1, self.hi1, self.lo2, self.hi2, self.chi)
 
-    @classmethod
-    def exact(cls, h0: int, h1: int, h2: int) -> "IntervalCohom":
-        return cls(h0, h0, h1, h1, h2, h2, h0 - h1 + h2)
-
     def lo(self, i: int) -> int:
         return (self.lo0, self.lo1, self.lo2)[i] if 0 <= i <= 2 else 0
 
@@ -178,12 +176,6 @@ class IntervalCohom:
 
     def forced_at(self, i: int) -> bool:
         return self.lo(i) == self.hi(i)
-
-    def as_record_tuple(self) -> tuple[int, int, int]:
-        """The exact dimensions; only meaningful when forced."""
-        if not self.forced:
-            raise ValueError("interval is not forced; no exact record exists")
-        return (self.lo0, self.lo1, self.lo2)
 
 
 _Value = tuple[int, int, int, int, int, int, int]  # (lo0, hi0, lo1, hi1, lo2, hi2, chi)
@@ -268,15 +260,9 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
     return values[0]
 
 
-def extension_cohomology_batch(s: Scroll, b, twists: Iterable[DivisorClass]) -> list[IntervalCohom]:
-    """Interval cohomology of a bundle expression at each of `twists`,
-    in order, from one walk of the tree."""
-    return [IntervalCohom(*v) for v in _walk(s, _compile(b), tuple(twists))]
-
-
 def extension_cohomology(s: Scroll, b, twist: DivisorClass = ZERO) -> IntervalCohom:
     """Interval cohomology of a bundle expression twisted by `twist`:
-    the one-twist walk of the batch kernel."""
+    one walk of the kernel at one twist."""
     return IntervalCohom(*_walk(s, _compile(b), (twist,))[0])
 
 

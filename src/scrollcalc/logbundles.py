@@ -40,10 +40,8 @@ from .errors import (
 )
 from .extensions import Verdict
 from .regularity import is_regular
-from .scroll import DivisorClass, Scroll, restriction_degree
+from .scroll import DivisorClass, Scroll, intersect
 from .splitting import is_acm
-
-FORMULA_ONLY_FLAG = "formula-only"
 
 # failing chi checks a LogReport keeps; the rest are only counted
 KEPT_FAILURES = 5
@@ -57,7 +55,7 @@ class Arrangement:
     lines: int
     curves: int
     supported: bool
-    flags: tuple[str, ...] = ()
+    formula_only: bool = False
 
     def boundary_class(self) -> DivisorClass:
         return DivisorClass(0, self.lines) + self.curves * self.scroll.narrow_section()
@@ -69,7 +67,7 @@ def validate_arrangement(s: Scroll, lines: int, curves: int) -> Arrangement:
     Unbalanced scrolls carry a single narrow section, so curves >= 2 is
     rejected outright there; curves <= 1 arrangements on them are
     Supported once lines >= e+1.  Balanced scrolls support everything.
-    The single-curve, no-line case on a balanced scroll is flagged: its
+    The single-curve, no-line case on a balanced scroll is formula_only: its
     splitting type comes from the closed formula alone, the stepwise
     residue construction never reaches it.
     """
@@ -81,8 +79,7 @@ def validate_arrangement(s: Scroll, lines: int, curves: int) -> Arrangement:
             f"an arrangement cannot contain {curves} of them"
         )
     if s.e == 0:
-        flags = (FORMULA_ONLY_FLAG,) if (lines, curves) == (0, 1) else ()
-        return Arrangement(s, lines, curves, True, flags)
+        return Arrangement(s, lines, curves, True, (lines, curves) == (0, 1))
     return Arrangement(s, lines, curves, curves <= 1 and lines >= s.e + 1)
 
 
@@ -157,8 +154,8 @@ def residue_consistency(
         rhs = (
             euler_rr(s, DivisorClass(0, -2) + tw)
             + euler_rr(s, DivisorClass(-2, s.c) + tw)
-            + arr.lines * (restriction_degree(tw, DivisorClass(0, 1), s) + 1)
-            + arr.curves * (restriction_degree(tw, s.narrow_section(), s) + 1)
+            + arr.lines * (intersect(tw, DivisorClass(0, 1), s) + 1)
+            + arr.curves * (intersect(tw, s.narrow_section(), s) + 1)
         )
         total += 1
         if lhs != rhs:

@@ -22,62 +22,54 @@ test is TRUE exactly when all three hi vanish, that is when every leaf
 is regular: exactly for p >= r = max line_bundle_reg over the leaves.
 An upward scan therefore first meets TRUE at r.  It returns r unless
 the verdict just below, at r - 1, is INDETERMINATE; a FALSE there
-certifies that no member of the class is regular at r - 1.
+certifies that no member of the class is regular at r - 1.  `reg`
+reads the probes at r and, for an Ext, at r - 1 in one walk of the
+tree, compiled once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .errors import EmptyBundle
-from .extensions import Ext, Probe, Verdict, _Evaluator, _judge, as_bundle_expr
+from .extensions import Ext, ProbeVerdict, Verdict, _Evaluator, _judge, as_bundle_expr
 from .scroll import DivisorClass, Scroll
 
 
-def _probe_plan(s: Scroll) -> tuple[tuple[str, DivisorClass, int], ...]:
+def _probe_plan(s: Scroll, p: int, pp: int) -> tuple[tuple[str, DivisorClass, int], ...]:
+    """The three probes of the test on b(pH + p'f), in order."""
     return (
-        ("h2(E(-H+(c-2)f))", DivisorClass(-1, s.c - 2), 2),
-        ("h1(E(-H+(c-1)f))", DivisorClass(-1, s.c - 1), 1),
-        ("h1(E(-f))", DivisorClass(0, -1), 1),
+        ("h2(E(-H+(c-2)f))", DivisorClass(p - 1, pp + s.c - 2), 2),
+        ("h1(E(-H+(c-1)f))", DivisorClass(p - 1, pp + s.c - 1), 1),
+        ("h1(E(-f))", DivisorClass(p, pp - 1), 1),
     )
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Verdict plus the three probe evaluations that produced it."""
-
-    verdict: Verdict
-    witnesses: tuple[Probe, ...]
-
-    def failing(self) -> tuple[Probe, ...]:
-        return tuple(p for p in self.witnesses if p.lo > 0)
-
-
-def is_pp_regular(s: Scroll, b, p: int = 0, pp: int = 0) -> RegularityReport:
+def is_pp_regular(s: Scroll, b, p: int = 0, pp: int = 0) -> ProbeVerdict:
     """Run the three-probe regularity test on b(pH + p'f).
 
-    All three probes are evaluated and reported; the verdict is the
-    extensions module's vanishing rule over them.  Sum inputs always
+    The verdict is the extensions module's vanishing rule over the
+    probes, and the witness its first probe with lo > 0; all three
+    probes are evaluated and carried, in plan order.  Sum inputs always
     resolve one way or the other.
     """
     return _pp_regular(_Evaluator(s, b), p, pp)
 
 
-def _pp_regular(evaluator: _Evaluator, p: int, pp: int) -> RegularityReport:
+def _pp_regular(evaluator: _Evaluator, p: int, pp: int) -> ProbeVerdict:
     """`is_pp_regular` read through an evaluator a caller may share."""
-    base = DivisorClass(p, pp)
-    probes = evaluator.read((name, base + shift, degree) for name, shift, degree in _probe_plan(evaluator.s))
-    return RegularityReport(_judge(probes).verdict, probes)
+    probes = evaluator.read(_probe_plan(evaluator.s, p, pp))
+    return replace(_judge(probes), probes=probes)
 
 
-def is_regular(s: Scroll, b) -> RegularityReport:
+def is_regular(s: Scroll, b) -> ProbeVerdict:
     """Regularity at the origin, p = p' = 0."""
     return is_pp_regular(s, b, 0, 0)
 
 
 def regular_region(s: Scroll, d: DivisorClass) -> bool:
     """Closed form: O(aH+bf) is regular iff a >= 0 and b >= -a*a0."""
-    return d.h >= 0 and d.f >= -d.h * s.a0
+    return line_bundle_reg(s, d) <= 0
 
 
 def gg_region(s: Scroll, d: DivisorClass) -> bool:
@@ -102,15 +94,18 @@ def reg(s: Scroll, b) -> int | Verdict:
     r - 1 decides the answer: a FALSE there names r, since regularity
     is monotone in p for every member of the class, while an
     INDETERMINATE leaves the least p unknown.  Sums are exact, so only
-    Ext inputs are probed at r - 1.
+    Ext inputs are probed at r - 1.  The tree is compiled once and its
+    three or six probes read in one walk.
     """
     b = as_bundle_expr(b)
     classes = [d for node in b.sums() for d, _ in node.terms]
     if not classes:
         raise EmptyBundle("Reg of the zero bundle is not defined")
     r = max(line_bundle_reg(s, d) for d in classes)
-    if is_pp_regular(s, b, r, 0).verdict is not Verdict.TRUE:
+    plan = _probe_plan(s, r, 0) + (_probe_plan(s, r - 1, 0) if isinstance(b, Ext) else ())
+    probes = _Evaluator(s, b).read(plan)
+    if _judge(probes[:3]).verdict is not Verdict.TRUE:
         raise AssertionError("the direct sum's regularity failed to certify the class")
-    if isinstance(b, Ext) and is_pp_regular(s, b, r - 1, 0).verdict is Verdict.INDETERMINATE:
+    if _judge(probes[3:]).verdict is Verdict.INDETERMINATE:
         return Verdict.INDETERMINATE
     return r

@@ -98,16 +98,6 @@ def serre_dual(d: DivisorClass, s: Scroll) -> DivisorClass:
     return s.K - d
 
 
-def restriction_degree(d: DivisorClass, curve: DivisorClass, s: Scroll) -> int:
-    """Degree of O(d) restricted to a curve in the class `curve`.
-
-    For an irreducible curve C the restriction O(d)|_C is a line bundle of
-    degree d.C, so this is just the intersection number.  Callers are
-    expected to pass an effective curve class (curve.h >= 0, nonzero).
-    """
-    return intersect(d, curve, s)
-
-
 def twist_rectangle(h_range: tuple[int, int], f_range: tuple[int, int]) -> Iterator[DivisorClass]:
     """The twists hH + ff with h and f in the closed ranges, lazily, in
     row-major order (h outer, f inner)."""

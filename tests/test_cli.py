@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from scrollcalc.cli import EXIT_BROKEN_PIPE, main
 from scrollcalc.extensions import BATCH_BOUND
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 MATRIX = json.loads((GOLDEN / "cli_matrix.json").read_text())
 
 
@@ -20,6 +22,31 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_cli_examples():
+    """(argv, shown lines, whether rows were cut at "...") of each
+    `$ scrollcalc ...` example in the sh block of README's CLI section."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *shown = chunk.splitlines()
+        assert command.startswith("$ scrollcalc ")
+        cut = "..." in shown
+        examples.append((shlex.split(command)[2:], shown[: shown.index("...")] if cut else shown, cut))
+    return examples
+
+
+README_EXAMPLES = readme_cli_examples()
+
+
+@pytest.mark.parametrize("argv, shown, cut", README_EXAMPLES, ids=[argv[0] for argv, _, _ in README_EXAMPLES])
+def test_readme_cli_examples(capsys, argv, shown, cut):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert (lines[: len(shown)] if cut else lines) == shown
 
 
 def test_golden_cohomology_json(capsys):

@@ -18,14 +18,14 @@ from scrollcalc import (
     bundle_sum,
     classify_regular_acm_log,
     euler_rr,
+    intersect,
     line_cohomology,
     log_splitting_type,
     residue_consistency,
     twist_rectangle,
     validate_arrangement,
 )
-from scrollcalc.logbundles import FORMULA_ONLY_FLAG, KEPT_FAILURES
-from scrollcalc.scroll import restriction_degree
+from scrollcalc.logbundles import KEPT_FAILURES
 
 LOG_SCROLLS = (Scroll(1, 1), Scroll(2, 2), Scroll(3, 3), Scroll(1, 2), Scroll(1, 3))
 
@@ -50,10 +50,10 @@ def test_validation_rules():
         validate_arrangement(s, -1, 0)
     with pytest.raises(NegativeCount):
         validate_arrangement(s, 0, -2)
-    # e = 0: any counts allowed, (0,1) carries the formula-only flag
+    # e = 0: any counts allowed, (0,1) is marked formula_only
     assert validate_arrangement(Scroll(2, 2), 0, 5).supported
-    assert FORMULA_ONLY_FLAG in validate_arrangement(Scroll(2, 2), 0, 1).flags
-    assert FORMULA_ONLY_FLAG not in validate_arrangement(Scroll(2, 2), 1, 1).flags
+    assert validate_arrangement(Scroll(2, 2), 0, 1).formula_only
+    assert not validate_arrangement(Scroll(2, 2), 1, 1).formula_only
 
 
 def test_unsupported_refuses_formula():
@@ -124,8 +124,8 @@ def test_report_counts_match_a_brute_count():
         rhs = (
             euler_rr(s, DivisorClass(0, -2) + tw)
             + euler_rr(s, DivisorClass(-2, s.c) + tw)
-            + 3 * (restriction_degree(tw, DivisorClass(0, 1), s) + 1)
-            + 2 * (restriction_degree(tw, s.narrow_section(), s) + 1)
+            + 3 * (intersect(tw, DivisorClass(0, 1), s) + 1)
+            + 2 * (intersect(tw, s.narrow_section(), s) + 1)
         )
         if lhs != rhs:
             brute.append((tw, lhs, rhs))

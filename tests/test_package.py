@@ -1,0 +1,40 @@
+"""The package's exported names."""
+
+import types
+
+import pytest
+
+import scrollcalc
+from scrollcalc import cohomology, extensions, logbundles, regularity, scroll
+
+# names deleted because another name already does their job
+DELETED = (
+    (regularity, "RegularityReport"),
+    (extensions, "extension_cohomology_batch"),
+    (scroll, "restriction_degree"),
+    (logbundles, "FORMULA_ONLY_FLAG"),
+)
+
+
+def test_all_lists_each_public_name_once():
+    public = {
+        name
+        for name, value in vars(scrollcalc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(scrollcalc.__all__) == len(set(scrollcalc.__all__))
+    assert set(scrollcalc.__all__) == public
+
+
+@pytest.mark.parametrize("module, name", DELETED, ids=[name for _, name in DELETED])
+def test_deleted_names_are_gone(module, name):
+    with pytest.raises(ImportError):
+        exec(f"from scrollcalc import {name}", {})
+    assert not hasattr(module, name)
+
+
+def test_deleted_methods_are_gone():
+    assert not hasattr(cohomology.CohomRecord, "__getitem__")
+    assert not hasattr(extensions.IntervalCohom, "exact")
+    assert not hasattr(extensions.IntervalCohom, "as_record_tuple")
+    assert not hasattr(logbundles.Arrangement, "flags")

@@ -27,7 +27,7 @@ from scrollcalc import (
     restricted_cohomology,
     sum_cohomology,
 )
-from scrollcalc import regularity
+from scrollcalc import extensions
 
 from conftest import TEST_SCROLLS
 
@@ -152,7 +152,7 @@ def test_reg_witnesses_record_failing_probe():
     s = Scroll(1, 2)
     report = is_regular(s, bundle_sum(DivisorClass(0, -1)))
     assert report.verdict is Verdict.FALSE
-    assert any(p.lo > 0 for p in report.failing())
+    assert report.witness == next(p for p in report.probes if p.lo > 0)
 
 
 def window_scan_reg(s, b):
@@ -183,17 +183,23 @@ def test_reg_matches_window_scan(s, b):
     assert reg(s, b) == window_scan_reg(s, b)
 
 
-def test_reg_probes_at_most_two_twists(monkeypatch):
+def test_reg_probes_at_most_two_twists(monkeypatch, walks):
+    # one compile and one walk per call: the three probes of r, and for
+    # an Ext those of r - 1 too
     s = Scroll(1, 2)
     b = line_bundle(0, 0)
     for _ in range(200):
         b = Ext(b, line_bundle(0, 0))
-    probed = []
+    compiled = []
+    real = extensions._compile
 
-    def counting(s, b, p=0, pp=0):
-        probed.append(p)
-        return is_pp_regular(s, b, p, pp)
+    def counting(b):
+        compiled.append(b)
+        return real(b)
 
-    monkeypatch.setattr(regularity, "is_pp_regular", counting)
+    monkeypatch.setattr(extensions, "_compile", counting)
     assert reg(s, b) == 0
-    assert len(probed) <= 2
+    assert walks == [6] and len(compiled) == 1
+    walks.clear()
+    assert reg(s, bundle_sum(DivisorClass(0, 0), DivisorClass(1, -3))) == 2
+    assert walks == [3] and len(compiled) == 2

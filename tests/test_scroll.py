@@ -8,7 +8,6 @@ from scrollcalc import (
     InvalidScroll,
     Scroll,
     intersect,
-    restriction_degree,
     serre_dual,
 )
 
@@ -73,7 +72,7 @@ def test_serre_dual_involution(s, d):
 def test_restriction_degrees(scroll):
     d = DivisorClass(2, -1)
     # restriction to a fibre sees only the H coefficient
-    assert restriction_degree(d, FIBRE, scroll) == 2
-    assert restriction_degree(d, HYPERPLANE, scroll) == 2 * scroll.c - 1
+    assert intersect(d, FIBRE, scroll) == 2
+    assert intersect(d, HYPERPLANE, scroll) == 2 * scroll.c - 1
     n = scroll.narrow_section()
-    assert restriction_degree(d, n, scroll) == 2 * scroll.a0 - 1
+    assert intersect(d, n, scroll) == 2 * scroll.a0 - 1

@@ -59,7 +59,7 @@ def test_counted_sum_matches_expanded_multiset(s, pairs, t):
     assert list(b.leaves()) == expanded
     assert b.rank() == len(expanded)
     assert format_bundle(b) == grouping_format(expanded)
-    per_leaf = tuple(sum(line_cohomology(s, d + t)[i] for d in expanded) for i in range(3))
+    per_leaf = tuple(sum(line_cohomology(s, d + t).as_tuple()[i] for d in expanded) for i in range(3))
     assert sum_cohomology(s, b, t).as_tuple() == per_leaf
 
 
