@@ -10,15 +10,16 @@ Every computation reduces to the base P^1 through three branches:
 
 The degree swap in the last branch (X-degree i reads off P^1-degree 2-i)
 lives in the cached `_line_cohomology` and nowhere else; every consumer
-in the package goes through it, by way of `line_cohomology` or, for the
-per-class loop of `sum_cohomology`, directly.
+in the package goes through it.  Its cache holds plain (h0, h1, h2)
+tuples, and `line_cohomology` alone wraps one in a `CohomRecord`.  The
+per-class loops of `sum_cohomology` and of the Ext kernel's leaves read
+the tuples directly, looking the function up as this module's
+attribute each time they run.
 
 A direct sum of line bundles is a `Sum`: counted classes, the leaf
 node of the bundle trees in the extensions module.  Its cohomology is
 additive, so `sum_cohomology` and `restricted_cohomology` weight each
 distinct class by its count and never expand a multiplicity.
-`sum_cohomology_batch` evaluates one sum at a batch of twists, for the
-Ext kernel's leaves; `sum_cohomology` is its one-twist call.
 
 `euler_rr` is an independent oracle: it computes the Euler characteristic
 from the intersection form alone, chi(D) = 1 + D.(D-K)/2, and never
@@ -28,7 +29,6 @@ before anything downstream is trusted.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,50 +94,33 @@ class Sum:
 
 
 @lru_cache(maxsize=None)
-def _line_cohomology(a0: int, a1: int, h: int, f: int) -> CohomRecord:
+def _line_cohomology(a0: int, a1: int, h: int, f: int) -> tuple[int, int, int]:
     s = Scroll(a0, a1)
     if h >= 0:
         p0, p1 = p1_cohomology(sym_decompose(s, h, f))
-        return CohomRecord(p0, p1, 0)
+        return (p0, p1, 0)
     if h == -1:
-        return CohomRecord(0, 0, 0)
+        return (0, 0, 0)
     # duality branch: X-degree i equals P^1-degree 2-i of the dual data
     p0, p1 = p1_cohomology(sym_decompose(s, -h - 2, s.c - f - 2))
-    return CohomRecord(0, p1, p0)
+    return (0, p1, p0)
 
 
 def line_cohomology(s: Scroll, d: DivisorClass) -> CohomRecord:
     """Exact (h^0, h^1, h^2) of O(d.h H + d.f f) on the scroll."""
-    return _line_cohomology(s.a0, s.a1, d.h, d.f)
+    return CohomRecord(*_line_cohomology(s.a0, s.a1, d.h, d.f))
 
 
 def sum_cohomology(s: Scroll, b: Sum, twist: DivisorClass = ZERO) -> CohomRecord:
     """Cohomology of a twisted direct sum: n*h^i per distinct class."""
-    return CohomRecord(*sum_cohomology_batch(s, b, (twist,))[0])
-
-
-def sum_cohomology_batch(
-    s: Scroll, b: Sum, twists: Iterable[DivisorClass]
-) -> list[tuple[int, int, int]]:
-    """(h^0, h^1, h^2) of a direct sum at each of `twists`, in order.
-
-    Plain tuples, not records, but held to the record's check: every
-    dimension is nonnegative.
-    """
-    a0, a1, terms = s.a0, s.a1, b.terms
-    out = []
-    for twist in twists:
-        th, tf = twist.h, twist.f
-        h0 = h1 = h2 = 0
-        for d, n in terms:
-            rec = _line_cohomology(a0, a1, d.h + th, d.f + tf)
-            h0 += n * rec.h0
-            h1 += n * rec.h1
-            h2 += n * rec.h2
-        if h0 < 0 or h1 < 0 or h2 < 0:
-            CohomRecord(h0, h1, h2)  # raises, with the record's message
-        out.append((h0, h1, h2))
-    return out
+    th, tf = twist
+    h0 = h1 = h2 = 0
+    for (h, f), n in b.terms:
+        l0, l1, l2 = _line_cohomology(s.a0, s.a1, h + th, f + tf)
+        h0 += n * l0
+        h1 += n * l1
+        h2 += n * l2
+    return CohomRecord(h0, h1, h2)
 
 
 def euler_rr(s: Scroll, d: DivisorClass) -> int:

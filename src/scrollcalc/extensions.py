@@ -27,10 +27,11 @@ The interval kernel runs in two steps.  `_compile` turns a tree into a
 post-order program over its distinct Sums, deduplicated by `terms`;
 `_walk` runs that program at a batch of twists: every node carries one
 value per twist, and each distinct Sum is evaluated once per walk, at
-all the twists together.  `extension_cohomology_stream` is the batch
-API: it compiles once and walks BATCH_BOUND twists at a time.
-`extension_cohomology` compiles and walks for one twist.  Every node
-at every twist, not just the root, is still checked against the
+all the twists together, straight from the cached line cohomology of
+its classes.  `extension_cohomology_stream` is the batch API: it
+compiles once and walks BATCH_BOUND twists at a time.
+`extension_cohomology` compiles and walks for one twist.  Every Ext
+node at every twist, not just the root, is checked against the
 `IntervalCohom` invariants of `_check_interval` (0 <= lo_i <= hi_i, chi
 inside the alternating-sum range), and a failure raises through it.
 
@@ -40,13 +41,15 @@ they all read the answer with one rule, `_judge`, over `Probe`s: FALSE
 as soon as some probe has lo > 0, which refutes every member of the
 class; otherwise TRUE when every hi is 0, which certifies every member;
 otherwise INDETERMINATE, with the probes whose hi > 0.  `INDETERMINATE`
-is an ordinary outcome, not an error.  One `_Evaluator` per decision
-compiles the tree once and turns (name, twist, degree) plan entries
-into probes, in plan order, remembering each twist it has walked, so no
-twist is walked twice in a decision.  A fixed plan, such as regularity's
-three probes, reg's three or six or Ulrich's six, is read in one walk
-at its twists.  A lazy
-scan is read in batches of 1, 2, 4, ... entries, capped at BATCH_BOUND
+is an ordinary outcome, not an error.  There is one `_Evaluator` per
+expression and scroll, kept on the expression by `_evaluator` and
+living as long as it.  Every decision on the expression reads through
+it: the tree is compiled once, (name, twist, degree) plan entries turn
+into probes in plan order, and each twist walked is remembered, so no
+twist is walked twice, within a decision or across decisions.  A fixed
+plan, such as regularity's three probes, reg's three or six or Ulrich's
+six, is read in one walk at its twists not walked before.  A lazy scan
+is read in batches of 1, 2, 4, ... entries, capped at BATCH_BOUND
 (256), each batch one walk: a scan that stops at its k-th probe has
 evaluated at most min(2k - 1, k + 255) entries.
 """
@@ -59,7 +62,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
-from .cohomology import Sum, line_cohomology, sum_cohomology_batch
+from . import cohomology
+from .cohomology import Sum, line_cohomology
 from .scroll import ZERO, DivisorClass, Scroll
 
 
@@ -180,9 +184,9 @@ class IntervalCohom:
 
 _Value = tuple[int, int, int, int, int, int, int]  # (lo0, hi0, lo1, hi1, lo2, hi2, chi)
 
-# a compiled tree: its distinct Sums, and its nodes in post-order, each
-# the index of a Sum or _COMBINE for an Ext node
-_Program = tuple[tuple[Sum, ...], tuple[int, ...]]
+# a compiled tree: the terms of its distinct Sums, and its nodes in
+# post-order, each the index of a Sum or _COMBINE for an Ext node
+_Program = tuple[tuple[tuple[tuple[DivisorClass, int], ...], ...], tuple[int, ...]]
 _COMBINE = -1
 
 # twists per walk, at most: `table` walks batches of this many, and a
@@ -193,7 +197,7 @@ BATCH_BOUND = 256
 def _compile(b) -> _Program:
     """The post-order program of a bundle expression, built from an
     explicit stack; Sums are deduplicated by `terms`."""
-    sums: list[Sum] = []
+    sums: list[tuple] = []
     index: dict[tuple, int] = {}  # Sum terms -> position in sums
     ops: list[int] = []
     todo: list[BundleExpr | None] = [as_bundle_expr(b)]  # None: the Ext node above is complete
@@ -204,7 +208,7 @@ def _compile(b) -> _Program:
         elif isinstance(node, Sum):
             i = index.setdefault(node.terms, len(sums))
             if i == len(sums):
-                sums.append(node)
+                sums.append(node.terms)
             ops.append(i)
         else:
             todo += (None, node.quot, node.sub)
@@ -216,17 +220,31 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
 
     Every node carries one value per twist, a plain (lo0, hi0, lo1, hi1,
     lo2, hi2, chi) tuple.  Each distinct Sum is evaluated exactly, once,
-    at all the twists together; an Ext node combines its children twist
-    by twist through the long exact sequence bounds of the module
-    docstring, and each combined value must pass `_check_interval`.
+    at all the twists together, from the cached line cohomology of its
+    classes; an Ext node combines its children twist by twist through
+    the long exact sequence bounds of the module docstring, and each
+    combined value must pass `_check_interval`.
     """
     sums, ops = program
-    # exact, so lo = hi and chi is the alternating sum; the batch has
-    # already checked h^i >= 0.  Shared between ops, never mutated.
-    exact = [
-        [(h0, h0, h1, h1, h2, h2, h0 - h1 + h2) for h0, h1, h2 in sum_cohomology_batch(s, node, twists)]
-        for node in sums
-    ]
+    a0, a1 = s.a0, s.a1
+    # looked up when the walk runs, so that a function put in the
+    # module's place (the benchmark's oracles swap in the uncached one)
+    # is the one called
+    line = cohomology._line_cohomology
+    # exact, so lo = hi and chi is the alternating sum.  Shared between
+    # ops, never mutated.
+    exact = []
+    for terms in sums:
+        column = []
+        for th, tf in twists:
+            h0 = h1 = h2 = 0
+            for (h, f), n in terms:
+                l0, l1, l2 = line(a0, a1, h + th, f + tf)
+                h0 += n * l0
+                h1 += n * l1
+                h2 += n * l2
+            column.append((h0, h0, h1, h1, h2, h2, h0 - h1 + h2))
+        exact.append(column)
     values: list[list[_Value]] = []
     for op in ops:
         if op != _COMBINE:
@@ -280,9 +298,16 @@ def extension_cohomology_stream(
 
 
 class _Evaluator:
-    """A bundle expression compiled once for one decision, with the value
-    of every twist it has walked, so no twist is walked twice.  It lives
-    as long as the decision, and holds one value per twist walked."""
+    """A bundle expression compiled once for one scroll, with the value
+    of every twist it has walked, so no twist is walked twice.
+
+    There is one per expression and scroll (see `_evaluator`), and it
+    lives as long as the expression.  Its memo holds one value per twist
+    the decisions on it walked, so it is bounded by the scans their
+    verdicts already hold: an INDETERMINATE verdict carries every
+    unresolved probe, and a FALSE one stopped within
+    min(2k - 1, k + 255) entries of its k-th probe.
+    """
 
     def __init__(self, s: Scroll, b):
         self.s = s
@@ -313,6 +338,19 @@ class _Evaluator:
         """Every probe of a fixed plan, from at most one walk."""
         plan = tuple(plan)
         return tuple(self.probes(plan, len(plan)))
+
+
+def _evaluator(s: Scroll, b) -> _Evaluator:
+    """The evaluator of b on s, made on first use and kept in b's own
+    `__dict__` by (a0, a1), as `functools.cached_property` does on a
+    frozen dataclass: no global table, and the tree, whose dataclass
+    hash recurses, is never hashed."""
+    b = as_bundle_expr(b)
+    evaluators = b.__dict__.setdefault("_evaluators", {})
+    key = (s.a0, s.a1)
+    if key not in evaluators:
+        evaluators[key] = _Evaluator(s, b)
+    return evaluators[key]
 
 
 def _judge(probes: Iterable[Probe]) -> ProbeVerdict:

@@ -24,7 +24,8 @@ An upward scan therefore first meets TRUE at r.  It returns r unless
 the verdict just below, at r - 1, is INDETERMINATE; a FALSE there
 certifies that no member of the class is regular at r - 1.  `reg`
 reads the probes at r and, for an Ext, at r - 1 in one walk of the
-tree, compiled once.
+tree, through the expression's one evaluator, which `is_pp_regular`
+and every other decision on it share.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .errors import EmptyBundle
-from .extensions import Ext, ProbeVerdict, Verdict, _Evaluator, _judge, as_bundle_expr
+from .extensions import Ext, ProbeVerdict, Verdict, _evaluator, _judge, as_bundle_expr
 from .scroll import DivisorClass, Scroll
 
 
@@ -53,12 +54,7 @@ def is_pp_regular(s: Scroll, b, p: int = 0, pp: int = 0) -> ProbeVerdict:
     probes are evaluated and carried, in plan order.  Sum inputs always
     resolve one way or the other.
     """
-    return _pp_regular(_Evaluator(s, b), p, pp)
-
-
-def _pp_regular(evaluator: _Evaluator, p: int, pp: int) -> ProbeVerdict:
-    """`is_pp_regular` read through an evaluator a caller may share."""
-    probes = evaluator.read(_probe_plan(evaluator.s, p, pp))
+    probes = _evaluator(s, b).read(_probe_plan(s, p, pp))
     return replace(_judge(probes), probes=probes)
 
 
@@ -94,8 +90,8 @@ def reg(s: Scroll, b) -> int | Verdict:
     r - 1 decides the answer: a FALSE there names r, since regularity
     is monotone in p for every member of the class, while an
     INDETERMINATE leaves the least p unknown.  Sums are exact, so only
-    Ext inputs are probed at r - 1.  The tree is compiled once and its
-    three or six probes read in one walk.
+    Ext inputs are probed at r - 1.  Its three or six probes are read
+    in one walk, through the evaluator every decision on b shares.
     """
     b = as_bundle_expr(b)
     classes = [d for node in b.sums() for d, _ in node.terms]
@@ -103,7 +99,7 @@ def reg(s: Scroll, b) -> int | Verdict:
         raise EmptyBundle("Reg of the zero bundle is not defined")
     r = max(line_bundle_reg(s, d) for d in classes)
     plan = _probe_plan(s, r, 0) + (_probe_plan(s, r - 1, 0) if isinstance(b, Ext) else ())
-    probes = _Evaluator(s, b).read(plan)
+    probes = _evaluator(s, b).read(plan)
     if _judge(probes[:3]).verdict is not Verdict.TRUE:
         raise AssertionError("the direct sum's regularity failed to certify the class")
     if _judge(probes[3:]).verdict is Verdict.INDETERMINATE:

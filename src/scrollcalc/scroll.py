@@ -11,19 +11,22 @@ fibre class f, with intersection numbers
     H.H = c,   H.f = 1,   f.f = 0,
 
 and canonical class K = -2H + (c-2)f.  All computations in this module
-are exact integer arithmetic on (h, f) coordinate pairs.
+are exact integer arithmetic on (h, f) coordinate pairs.  A
+`DivisorClass` is a NamedTuple of that pair, so it equals, hashes and
+sorts as the plain tuple (h, f); only its +, -, unary - and integer *
+are overridden, with the lattice's operations.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidScroll
 
 
-@dataclass(frozen=True, order=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """An element h*H + f*f of the Picard lattice Z<H, f>."""
 
     h: int

@@ -41,12 +41,12 @@ from .extensions import (
     ProbeVerdict,
     Sum,
     Verdict,
-    _Evaluator,
+    _evaluator,
     _judge,
     as_bundle_expr,
     forced_split,
 )
-from .regularity import _pp_regular
+from .regularity import is_regular
 from .scroll import DivisorClass, Scroll
 
 
@@ -130,7 +130,7 @@ def _decide(s: Scroll, b, families) -> SplitVerdict:
     b = as_bundle_expr(b)
     if b.rank() == 0:
         raise EmptyBundle("splitting criteria need a bundle of positive rank")
-    judged = _judge(_Evaluator(s, b).probes(_scan_families(s, b, families)))
+    judged = _judge(_evaluator(s, b).probes(_scan_families(s, b, families)))
     if judged.verdict is not Verdict.TRUE:
         return SplitVerdict(judged.verdict, failure=judged.witness, probes=judged.probes)
     # conditions hold for every member of the class; the summand multiset
@@ -159,7 +159,7 @@ def is_acm(s: Scroll, b) -> ProbeVerdict:
     b = as_bundle_expr(b)
     if b.rank() == 0:
         raise EmptyBundle("the ACM test needs a bundle of positive rank")
-    return _judge(_Evaluator(s, b).probes(_scan_families(s, b, (("h1(E(tH))", 0),))))
+    return _judge(_evaluator(s, b).probes(_scan_families(s, b, (("h1(E(tH))", 0),))))
 
 
 def _ulrich_probe_plan() -> tuple[tuple[str, DivisorClass, int], ...]:
@@ -180,7 +180,7 @@ def is_ulrich(s: Scroll, b) -> ProbeVerdict:
     b = as_bundle_expr(b)
     if b.rank() == 0:
         raise EmptyBundle("the Ulrich test needs a bundle of positive rank")
-    probes = _Evaluator(s, b).read(_ulrich_probe_plan())
+    probes = _evaluator(s, b).read(_ulrich_probe_plan())
     judged = _judge(probes)
     return judged if judged.verdict is Verdict.INDETERMINATE else replace(judged, probes=probes)
 
@@ -251,11 +251,12 @@ def detect_line_summand(s: Scroll, b) -> SummandVerdict:
     one wins.  A FALSE verdict means no cause fires, i.e. b(-H) is still
     regular.  Raises NotRegular unless the input is certified regular.
     """
-    evaluator = _Evaluator(s, b)
-    report = _pp_regular(evaluator, 0, 0)
+    b = as_bundle_expr(b)
+    report = is_regular(s, b)
     if report.verdict is not Verdict.TRUE:
         state = "fails" if report.verdict is Verdict.FALSE else "cannot be certified"
         raise NotRegular(f"summand detection needs a regular input; regularity {state}")
+    evaluator = _evaluator(s, b)
     inconclusive: list[Probe] = []
     for name, tw, degree, summand, auxiliaries in _summand_cases(s):
         (cause,) = evaluator.read(((name, tw, degree),))

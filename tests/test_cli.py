@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from scrollcalc import DivisorClass, Scroll, extension_cohomology, parse_bundle_spec
+from scrollcalc import DivisorClass, Scroll, extension_cohomology, extensions, parse_bundle_spec
 from scrollcalc.cli import EXIT_BROKEN_PIPE, main
 from scrollcalc.extensions import BATCH_BOUND
 
@@ -339,6 +339,22 @@ def test_table_walks_once_per_chunk(capsys, walks, cells):
     s, b = Scroll(1, 2), parse_bundle_spec(TABLE_SPEC)
     want = [table_row(s, b, th, tf) for th in range(-1, rows - 1) for tf in range(-3, width - 3)]
     assert out.splitlines() == ["tH,tf,h0,h1,h2,chi"] + want
+
+
+def test_regularity_compiles_once(capsys, walks, monkeypatch):
+    # is_pp_regular at (p, p') and reg share the expression's evaluator:
+    # one compile, and reg walks only its own six twists
+    compiled = []
+    real = extensions._compile
+
+    def counting(b):
+        compiled.append(b)
+        return real(b)
+
+    monkeypatch.setattr(extensions, "_compile", counting)
+    code, out, err = run(capsys, "regularity", "--scroll", "1,2", "--bundle", "ext(O(0,0); O(1,-3))")
+    assert (code, err) == (0, "")
+    assert len(compiled) == 1 and walks == [3, 6]
 
 
 class ClosedAfter(io.TextIOBase):

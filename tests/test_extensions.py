@@ -6,7 +6,9 @@ term (direct sum of the two sides) is one realizable choice, so its
 exact values must always land inside; chi must match exactly.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -21,19 +23,25 @@ from scrollcalc import (
     ZERO,
     as_bundle_expr,
     bundle_sum,
+    decide_split_acm3,
+    decide_split_tH,
+    detect_line_summand,
     ext1_dim,
     extension_cohomology,
     forced_split,
+    format_bundle,
     is_acm,
     is_pp_regular,
+    is_regular,
     is_ulrich,
     line_bundle,
     line_cohomology,
+    parse_bundle_spec,
     reg,
     sum_cohomology,
 )
 
-from scrollcalc import extensions, regularity, splitting
+from scrollcalc import cohomology, extensions, regularity, splitting
 from scrollcalc.extensions import extension_cohomology_stream
 
 from conftest import TEST_SCROLLS
@@ -274,18 +282,20 @@ def test_batch_of_no_twists_is_empty():
 
 
 def test_batch_checks_every_node_at_every_twist(monkeypatch):
-    # leaf values that break 0 <= lo at the third of five twists only:
-    # the Ext node above them fails _check_interval there, with its
-    # message, while the same batch without that twist passes
+    # a leaf value that breaks 0 <= lo at the third of five twists only,
+    # put where the kernel looks its leaves up: O(1,0) twisted by
+    # O(0,2), the one lookup of (1, 2) in the batch.  The Ext node above
+    # it fails _check_interval there, with its message, while the same
+    # batch without that twist passes
     s = Scroll(1, 2)
     b = Ext(line_bundle(0, 0), Ext(line_bundle(1, 0), line_bundle(0, 1)))
     twists = [DivisorClass(0, k) for k in range(5)]
-    real = extensions.sum_cohomology_batch
+    real = cohomology._line_cohomology
 
-    def corrupt(s, node, ts):
-        return [(-5, 0, 0) if t == twists[2] else h for t, h in zip(ts, real(s, node, ts))]
+    def corrupt(a0, a1, h, f):
+        return (-5, 0, 0) if (h, f) == (1, 2) else real(a0, a1, h, f)
 
-    monkeypatch.setattr(extensions, "sum_cohomology_batch", corrupt)
+    monkeypatch.setattr(cohomology, "_line_cohomology", corrupt)
     with pytest.raises(ValueError, match=r"^degree 0: need 0 <= lo <= hi$"):
         list(extension_cohomology_stream(s, b, twists))
     rest = twists[:2] + twists[3:]
@@ -298,11 +308,24 @@ def test_probe_plans_take_one_walk(walks):
     # regularity reads three probes at three twists, Ulrich six at two,
     # and reg on an Ext reads the three probes of r and of r - 1
     s = Scroll(1, 2)
-    b = Ext(line_bundle(-2, 3), Ext(line_bundle(1, -1), line_bundle(0, 2)))
+
+    def fresh():
+        return Ext(line_bundle(-2, 3), Ext(line_bundle(1, -1), line_bundle(0, 2)))
+
+    is_pp_regular(s, fresh(), 1, 0)
+    is_ulrich(s, fresh())
+    reg(s, fresh())
+    assert walks == [3, 2, 6]
+    # on one shared expression: the leaves' largest line_bundle_reg is
+    # r = 2, so reg's three twists at r - 1 = 1 are those is_pp_regular
+    # at p = 1 walked already, and a decision asked again walks nothing
+    walks.clear()
+    b = fresh()
     is_pp_regular(s, b, 1, 0)
     is_ulrich(s, b)
     reg(s, b)
-    assert walks == [3, 2, 6]
+    is_ulrich(s, b)
+    assert walks == [3, 2, 3]
 
 
 def test_probe_plans_match_single_twists():
@@ -345,11 +368,15 @@ def test_deep_chain_evaluates_without_recursion():
     assert iv.chi == flat.chi
 
 
-def test_deep_chain_decides_without_recursion():
+def test_deep_chain_decides_without_recursion(monkeypatch):
     # O(1,0), then O(0,0) and O(0,-2) alternating, 10,001 leaves in all.
     # On S(1,2) the top quotient O(0,-2) forces h^1(E) >= 1 (its h^1 is 1
     # and no sub leaf has h^2), so E is not ACM at t = 0; Reg of the sum
-    # is 2, and at p = 1 the same leaf forces h^1(E(H-f)) >= 1.
+    # is 2, and at p = 1 the same leaf forces h^1(E(H-f)) >= 1.  At
+    # t = 0 each of the 5,000 leaves O(0,-2) twisted by -f has h^1 = 2,
+    # no twisted leaf has h^2 and no twisted quotient leaf has h^0, so
+    # h^1(E(-f)) >= 10,000 and E is no sum of h-twists.  The three
+    # decisions share one compile, and the tree is never hashed.
     s = Scroll(1, 2)
     leaves = [DivisorClass(1, 0)] + [DivisorClass(0, -2 if k % 2 == 0 else 0) for k in range(1, 10_001)]
     b = line_bundle(1, 0)
@@ -357,9 +384,61 @@ def test_deep_chain_decides_without_recursion():
         b = Ext(b, line_bundle(d.h, d.f))
     assert b.rank() == 10_001
     assert b.leaves() == tuple(leaves)
+    compiled = []
+    real = extensions._compile
+    monkeypatch.setattr(extensions, "_compile", lambda b: compiled.append(1) or real(b))
     assert reg(s, b) == 2
     v = is_acm(s, b)
     assert (v.verdict, v.witness.twist.h, v.witness.lo) == (Verdict.FALSE, 0, 1)
+    v = decide_split_tH(s, b)
+    assert (v.outcome, v.failure.twist, v.failure.lo) == (Verdict.FALSE, DivisorClass(0, -1), 10_000)
+    assert len(compiled) == 1
+
+
+def test_evaluators_live_on_their_expression():
+    # one evaluator per expression and scroll, kept on the expression and
+    # freed with it
+    b = Ext(line_bundle(0, -3), line_bundle(1, 2))
+    s = Scroll(1, 2)
+    is_acm(s, b)
+    reg(s, b)
+    shared = extensions._evaluator(Scroll(1, 2), b)
+    assert shared is extensions._evaluator(s, b)
+    assert shared is not extensions._evaluator(Scroll(1, 1), b)
+    assert shared is not extensions._evaluator(s, Ext(line_bundle(0, -3), line_bundle(1, 2)))
+    assert shared.values
+    expr, evaluator = weakref.ref(b), weakref.ref(shared)
+    del b, shared
+    gc.collect()
+    assert expr() is None and evaluator() is None
+
+
+# each decision's whole result: verdict, witness and probes
+DECISIONS = {
+    "pp_regular": lambda s, b, p, pp: is_pp_regular(s, b, p, pp),
+    "regular": lambda s, b, p, pp: is_regular(s, b),
+    "reg": lambda s, b, p, pp: reg(s, b),
+    "acm": lambda s, b, p, pp: is_acm(s, b),
+    "ulrich": lambda s, b, p, pp: is_ulrich(s, b),
+    "split_tH": lambda s, b, p, pp: decide_split_tH(s, b),
+    "split_acm3": lambda s, b, p, pp: decide_split_acm3(s, b),
+    "summand": lambda s, b, p, pp: (
+        detect_line_summand(s, b) if is_regular(s, b).verdict is Verdict.TRUE else None
+    ),
+}
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(scrolls, scrolls, exprs(4), st.permutations(list(DECISIONS)), st.integers(-3, 3), st.integers(-4, 4))
+def test_shared_evaluator_matches_fresh_copies(s1, s2, b, order, p, pp):
+    # every decision, in any order on one expression and on two scrolls,
+    # gives what it gives on a fresh copy, whatever the earlier ones left
+    # in the memo
+    for s in (s1, s2):
+        for name in order:
+            decide = DECISIONS[name]
+            assert decide(s, b, p, pp) == decide(s, parse_bundle_spec(format_bundle(b)), p, pp)
 
 
 def test_verdict_values():

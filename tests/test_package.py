@@ -11,6 +11,7 @@ from scrollcalc import cohomology, extensions, logbundles, regularity, scroll
 DELETED = (
     (regularity, "RegularityReport"),
     (extensions, "extension_cohomology_batch"),
+    (cohomology, "sum_cohomology_batch"),
     (scroll, "restriction_degree"),
     (logbundles, "FORMULA_ONLY_FLAG"),
 )

@@ -7,6 +7,7 @@ from scrollcalc import (
     DivisorClass,
     InvalidScroll,
     Scroll,
+    Sum,
     intersect,
     serre_dual,
 )
@@ -53,8 +54,23 @@ def test_divisor_arithmetic():
     assert d - DivisorClass(1, 1) == DivisorClass(1, -4)
     assert -d == DivisorClass(-2, 3)
     assert 3 * d == d * 3 == DivisorClass(6, -9)
+    # the lattice's operations, not a tuple's concatenation or repetition
+    e = DivisorClass(1, 1)
+    assert all(type(v) is DivisorClass for v in (d + e, d - e, -d, d * 2, 2 * d))
     assert str(d) == "O(2,-3)"
+    assert repr(d) == "DivisorClass(h=2, f=-3)"
+    assert repr(Sum(((d, 2),))) == "Sum(terms=((DivisorClass(h=2, f=-3), 2),))"
     assert str(Scroll(1, 2)) == "S(1,2)"
+
+
+@given(st.lists(divisors, max_size=8))
+def test_divisor_class_is_its_pair(ds):
+    # equal to, hashed as and sorted as the plain (h, f) tuple
+    pairs = [(d.h, d.f) for d in ds]
+    assert ds == pairs
+    assert [hash(d) for d in ds] == [hash(p) for p in pairs]
+    assert sorted(ds) == sorted(pairs)
+    assert all(tuple(d) == (h, f) for d, (h, f) in zip(ds, pairs))
 
 
 @given(scrolls, divisors, divisors)

@@ -156,12 +156,22 @@ def test_scan_stops_at_first_failure(walks):
     # O(-10^6 f) on S(1,2) violates every scanned family on an interval
     # about 10^6 twists wide, and a Sum's first violating twist already
     # refutes it, so each decision walks its first batch, one twist, only
-    s, b = Scroll(1, 2), line_bundle(0, -10**6)
-    for decide in (decide_split_tH, decide_split_acm3, is_acm):
+    s = Scroll(1, 2)
+    decisions = (decide_split_tH, decide_split_acm3, is_acm)
+    for decide in decisions:
         walks.clear()
-        v = decide(s, b)
+        v = decide(s, line_bundle(0, -10**6))
         assert (v.witness if decide is is_acm else v.failure).lo > 0
         assert walks == [1]
+    # on one shared expression, is_acm's witness is the first twist of
+    # the three-type scan's first family, offset 0, walked already
+    b = line_bundle(0, -10**6)
+    seen = []
+    for decide in decisions:
+        walks.clear()
+        decide(s, b)
+        seen.append(list(walks))
+    assert seen == [[1], [1], []]
 
 
 def reference_scan(s, b, families):
