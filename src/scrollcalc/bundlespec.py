@@ -38,15 +38,14 @@ which is the normalisation contract the round-trip tests pin down.
 from __future__ import annotations
 
 from .errors import ParseError
-from .extensions import BundleExpr, Ext, Sum
+from .extensions import BundleExpr, Ext, Sum, _pieces
 from .scroll import DivisorClass
 
 _PUNCT = "(),;+*^"
 
-# A policy, not a limit of the parser: room for Ext depths up to 200,
-# the top of the roadmap's depth-scaling curve.  It also keeps trees far
-# from the interpreter's recursion limit in Ext's dataclass-generated
-# ==, hash and repr, which still recurse.
+# A policy, not a limit of the parser or of any walk of the tree, none
+# of which recurses: room for Ext depths up to 200, the top of the
+# roadmap's depth-scaling curve.
 MAX_EXT_DEPTH = 200
 
 
@@ -203,17 +202,7 @@ def _format_sum(b: Sum) -> str:
 def format_bundle(b: BundleExpr) -> str:
     """Canonical text for a bundle expression, written left to right
     from an explicit stack, so any depth prints without recursion."""
-    out: list[str] = []
-    todo: list[BundleExpr | str] = [b]  # a str is literal text
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Ext):
-            todo += (")", item.quot, "; ", item.sub, "ext(")
-        else:
-            out.append(_format_sum(item))
-    return "".join(out)
+    return "".join(p if isinstance(p, str) else _format_sum(p) for p in _pieces(b, "ext(", "; ", ")"))
 
 
 def normalize(text: str) -> str:

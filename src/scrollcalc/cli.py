@@ -106,9 +106,11 @@ def _cmd_cohomology(args, s, b):
 def _cmd_table(args, s, b):
     def rows():
         yield "tH,tf,h0,h1,h2,chi"
-        for t, iv in extension_cohomology_stream(s, b, twist_rectangle(*args.twists)):
-            cells = [str(iv.lo(i)) if iv.forced_at(i) else f"{iv.lo(i)}..{iv.hi(i)}" for i in range(3)]
-            yield f"{t.h},{t.f},{cells[0]},{cells[1]},{cells[2]},{iv.chi}"
+        stream = extension_cohomology_stream(s, b, twist_rectangle(*args.twists))
+        for t, (lo0, hi0, lo1, hi1, lo2, hi2, chi) in stream:
+            bounds = ((lo0, hi0), (lo1, hi1), (lo2, hi2))
+            cells = ",".join(str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in bounds)
+            yield f"{t.h},{t.f},{cells},{chi}"
 
     return None, rows()
 

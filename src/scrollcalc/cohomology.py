@@ -29,7 +29,6 @@ before anything downstream is trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NegativeCount, OddIntersection, UnsupportedCurveClass
@@ -37,17 +36,36 @@ from .p1 import P1Sum, p1_cohomology, sym_decompose
 from .scroll import ZERO, DivisorClass, Scroll, intersect
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, value=None):
+    """`__setattr__` and `__delattr__` of the hand-written records below
+    and `Ext`: each field is set once, by `__init__`."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class CohomRecord:
     """Exact dimensions (h^0, h^1, h^2); chi is derived, never stored."""
 
-    h0: int
-    h1: int
-    h2: int
+    __slots__ = ("h0", "h1", "h2")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        if min(self.h0, self.h1, self.h2) < 0:
+    def __init__(self, h0: int, h1: int, h2: int) -> None:
+        if min(h0, h1, h2) < 0:
             raise ValueError("cohomology dimensions must be nonnegative")
+        for name, value in zip(self.__slots__, (h0, h1, h2)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self.as_tuple() == other.as_tuple() if type(other) is CohomRecord else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.as_tuple())
+
+    def __repr__(self) -> str:
+        return f"CohomRecord(h0={self.h0!r}, h1={self.h1!r}, h2={self.h2!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by assigning slots
+        return CohomRecord, self.as_tuple()
 
     @property
     def chi(self) -> int:
@@ -57,7 +75,6 @@ class CohomRecord:
         return (self.h0, self.h1, self.h2)
 
 
-@dataclass(frozen=True)
 class Sum:
     """A direct sum of line bundles, stored as counted classes.
 
@@ -66,15 +83,24 @@ class Sum:
     however large it is; `leaves()` alone expands it.
     """
 
-    terms: tuple[tuple[DivisorClass, int], ...] = ()
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: tuple[tuple[DivisorClass, int], ...] = ()) -> None:
         counts: dict[DivisorClass, int] = {}
-        for d, n in self.terms:
+        for d, n in terms:
             if n < 0:
                 raise NegativeCount(f"a direct sum cannot hold {n} copies of {d}")
             counts[d] = counts.get(d, 0) + n
         object.__setattr__(self, "terms", tuple(sorted((d, n) for d, n in counts.items() if n)))
+
+    def __eq__(self, other):
+        return self.terms == other.terms if type(other) is Sum else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+    def __repr__(self) -> str:
+        return f"Sum(terms={self.terms!r})"
 
     def rank(self) -> int:
         return sum(n for _, n in self.terms)

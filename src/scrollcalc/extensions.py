@@ -18,10 +18,11 @@ separately, so in particular a degree is forced exact whenever both
 flanking groups vanish.  Euler characteristics are exact and additive
 regardless of the class.
 
-`_compile`, `rank()`, `leaves()` and `sums()` walk a tree iteratively,
-with an explicit stack and no recursion, so its depth is bounded by
-memory alone.  Consumers read the counted `terms` of the Sum nodes that
-`sums()` yields; only `leaves()` expands multiplicities.
+`_compile`, `rank()`, `leaves()`, `sums()` and Ext's ==, hash and repr
+read a tree through `_pieces`, which walks it from an explicit stack
+with no recursion, so its depth is bounded by memory alone.  Consumers
+read the counted `terms` of the Sum nodes that `sums()` yields; only
+`leaves()` expands multiplicities.
 
 The interval kernel runs in two steps.  `_compile` turns a tree into a
 post-order program over its distinct Sums, deduplicated by `terms`;
@@ -59,11 +60,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from . import cohomology
-from .cohomology import Sum, line_cohomology
+from .cohomology import Sum, _frozen, line_cohomology
 from .scroll import ZERO, DivisorClass, Scroll
 
 
@@ -73,8 +74,7 @@ class Verdict(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(NamedTuple):
     """One evaluated cohomology test: a named twist with an [lo, hi] value."""
 
     name: str
@@ -91,8 +91,7 @@ class Probe:
         return f"{self.name} at twist {self.twist} = {value}"
 
 
-@dataclass(frozen=True)
-class ProbeVerdict:
+class ProbeVerdict(NamedTuple):
     """A verdict read off probes: FALSE carries the refuting probe as its
     witness.  A fixed plan carries every probe it read (regularity
     always, Ulrich on TRUE or FALSE); a scan, and Ulrich on
@@ -103,10 +102,27 @@ class ProbeVerdict:
     probes: tuple[Probe, ...] = ()
 
 
-@dataclass(frozen=True)
 class Ext:
-    sub: BundleExpr
-    quot: BundleExpr
+    """The class of extensions 0 -> sub -> E -> quot -> 0.  Its ==, hash
+    and repr read the tree from `_pieces`, so any depth compares, hashes
+    and prints without recursion."""
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, sub: BundleExpr, quot: BundleExpr) -> None:
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "quot", quot)
+
+    def __eq__(self, other):
+        if type(other) is not Ext:
+            return NotImplemented
+        return list(_pieces(self)) == list(_pieces(other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_pieces(self)))
+
+    def __repr__(self) -> str:
+        return "".join(p if isinstance(p, str) else repr(p) for p in _pieces(self))
 
     def rank(self) -> int:
         return sum(n for node in self.sums() for _, n in node.terms)
@@ -115,17 +131,26 @@ class Ext:
         return tuple(d for node in self.sums() for d in node.leaves())
 
     def sums(self) -> Iterator[Sum]:
-        """The Sum nodes left to right, walked from an explicit stack."""
-        todo: list[BundleExpr] = [self]
-        while todo:
-            node = todo.pop()
-            if isinstance(node, Ext):
-                todo += (node.quot, node.sub)
-            else:
-                yield node
+        """The Sum nodes left to right."""
+        return (p for p in _pieces(self) if isinstance(p, Sum))
 
 
 BundleExpr = Sum | Ext
+
+
+def _pieces(
+    b: BundleExpr, opening: str = "Ext(sub=", middle: str = ", quot=", closing: str = ")"
+) -> Iterator[str | Sum]:
+    """The tree left to right as text and Sums: each Ext node as
+    `opening`, its sub, `middle`, its quot and `closing`, walked from an
+    explicit stack.  The defaults spell the repr."""
+    todo: list[BundleExpr | str] = [b]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Ext):
+            todo += (closing, node.quot, middle, node.sub, opening)
+        else:
+            yield node
 
 
 def line_bundle(h: int, f: int) -> Sum:
@@ -153,26 +178,25 @@ def _check_interval(lo0: int, hi0: int, lo1: int, hi1: int, lo2: int, hi2: int, 
         raise ValueError("chi falls outside the interval alternating sum")
 
 
-@dataclass(frozen=True)
-class IntervalCohom:
+class IntervalCohom(
+    NamedTuple("IntervalCohom", [(name, int) for name in ("lo0", "hi0", "lo1", "hi1", "lo2", "hi2", "chi")])
+):
     """Per-degree bounds lo_i <= h^i <= hi_i together with the exact chi."""
 
-    lo0: int
-    hi0: int
-    lo1: int
-    hi1: int
-    lo2: int
-    hi2: int
-    chi: int
+    __slots__ = ()
+    # `_make`, and `_replace` through it, construct and so validate
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        _check_interval(self.lo0, self.hi0, self.lo1, self.hi1, self.lo2, self.hi2, self.chi)
+    def __new__(cls, *args, **kwargs) -> IntervalCohom:
+        self = super().__new__(cls, *args, **kwargs)
+        _check_interval(*self)
+        return self
 
     def lo(self, i: int) -> int:
-        return (self.lo0, self.lo1, self.lo2)[i] if 0 <= i <= 2 else 0
+        return self[2 * i] if 0 <= i <= 2 else 0
 
     def hi(self, i: int) -> int:
-        return (self.hi0, self.hi1, self.hi2)[i] if 0 <= i <= 2 else 0
+        return self[2 * i + 1] if 0 <= i <= 2 else 0
 
     @property
     def forced(self) -> bool:
@@ -200,18 +224,14 @@ def _compile(b) -> _Program:
     sums: list[tuple] = []
     index: dict[tuple, int] = {}  # Sum terms -> position in sums
     ops: list[int] = []
-    todo: list[BundleExpr | None] = [as_bundle_expr(b)]  # None: the Ext node above is complete
-    while todo:
-        node = todo.pop()
-        if node is None:
-            ops.append(_COMBINE)
-        elif isinstance(node, Sum):
-            i = index.setdefault(node.terms, len(sums))
+    for piece in _pieces(as_bundle_expr(b)):
+        if isinstance(piece, Sum):
+            i = index.setdefault(piece.terms, len(sums))
             if i == len(sums):
-                sums.append(node.terms)
+                sums.append(piece.terms)
             ops.append(i)
-        else:
-            todo += (None, node.quot, node.sub)
+        elif piece == ")":  # the Ext node's sub and quot are done
+            ops.append(_COMBINE)
     return tuple(sums), tuple(ops)
 
 
@@ -313,6 +333,8 @@ class _Evaluator:
         self.s = s
         self.program = _compile(b)
         self.values: dict[DivisorClass, _Value] = {}
+        # f-offset -> splitting.violating_twists, read by every scan
+        self.violations: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def probes(self, plan: Iterable[tuple[str, DivisorClass, int]], batch: int = 1) -> Iterator[Probe]:
         """The (name, twist, degree) probes of a plan, lazily and in plan order.
@@ -342,9 +364,8 @@ class _Evaluator:
 
 def _evaluator(s: Scroll, b) -> _Evaluator:
     """The evaluator of b on s, made on first use and kept in b's own
-    `__dict__` by (a0, a1), as `functools.cached_property` does on a
-    frozen dataclass: no global table, and the tree, whose dataclass
-    hash recurses, is never hashed."""
+    `__dict__` by (a0, a1): no global table, and the tree, whose hash
+    walks every node, is never hashed."""
     b = as_bundle_expr(b)
     evaluators = b.__dict__.setdefault("_evaluators", {})
     key = (s.a0, s.a1)

@@ -26,8 +26,7 @@ rational curve, so chi of its twisted structure sheaf is degree + 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cohomology import Sum, euler_rr
 from .errors import (
@@ -47,8 +46,7 @@ from .splitting import is_acm
 KEPT_FAILURES = 5
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(NamedTuple):
     """A validated arrangement of fibres and narrow sections."""
 
     scroll: Scroll
@@ -103,8 +101,7 @@ def log_splitting_type(arr: Arrangement) -> Sum:
     return Sum(((first, 1), (second, 1)))
 
 
-@dataclass(frozen=True)
-class ChiCheck:
+class ChiCheck(NamedTuple):
     """A twist where the claimed chi (lhs) differs from the residue
     sequence's (rhs)."""
 
@@ -113,8 +110,7 @@ class ChiCheck:
     rhs: int
 
 
-@dataclass(frozen=True)
-class LogReport:
+class LogReport(NamedTuple):
     """The c1 check, and the chi checks as counts plus the first
     KEPT_FAILURES failing twists, so its size does not grow with the grid."""
 

@@ -30,8 +30,6 @@ and every other decision on it share.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .errors import EmptyBundle
 from .extensions import Ext, ProbeVerdict, Verdict, _evaluator, _judge, as_bundle_expr
 from .scroll import DivisorClass, Scroll
@@ -55,7 +53,7 @@ def is_pp_regular(s: Scroll, b, p: int = 0, pp: int = 0) -> ProbeVerdict:
     resolve one way or the other.
     """
     probes = _evaluator(s, b).read(_probe_plan(s, p, pp))
-    return replace(_judge(probes), probes=probes)
+    return _judge(probes)._replace(probes=probes)
 
 
 def is_regular(s: Scroll, b) -> ProbeVerdict:

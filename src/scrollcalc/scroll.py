@@ -20,7 +20,6 @@ are overridden, with the lattice's operations.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidScroll
@@ -55,18 +54,17 @@ FIBRE = DivisorClass(0, 1)
 HYPERPLANE = DivisorClass(1, 0)
 
 
-@dataclass(frozen=True)
-class Scroll:
+class Scroll(NamedTuple("Scroll", [("a0", int), ("a1", int)])):
     """The surface S(a0, a1).  Construction validates 0 < a0 <= a1."""
 
-    a0: int
-    a1: int
+    __slots__ = ()
+    # `_make`, and `_replace` through it, construct and so validate
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if not (0 < self.a0 <= self.a1):
-            raise InvalidScroll(
-                f"invalid scroll S({self.a0},{self.a1}): need 0 < a0 <= a1"
-            )
+    def __new__(cls, a0: int, a1: int) -> Scroll:
+        if not (0 < a0 <= a1):
+            raise InvalidScroll(f"invalid scroll S({a0},{a1}): need 0 < a0 <= a1")
+        return super().__new__(cls, a0, a1)
 
     @property
     def c(self) -> int:

@@ -30,7 +30,7 @@ lower bound on the failing h^i, exact for Sum inputs.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .cohomology import h1_violating_h_twists
 from .errors import EmptyBundle, NegativeCount, NotRegular
@@ -50,8 +50,7 @@ from .regularity import is_regular
 from .scroll import DivisorClass, Scroll
 
 
-@dataclass(frozen=True)
-class SplitVerdict:
+class SplitVerdict(NamedTuple):
     outcome: Verdict  # TRUE = splits, FALSE = fails
     witness: Sum | None = None  # TRUE: the summands, as one Sum
     failure: Probe | None = None
@@ -59,8 +58,7 @@ class SplitVerdict:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SummandVerdict:
+class SummandVerdict(NamedTuple):
     """TRUE carries the summand found; FALSE means no cause fired."""
 
     verdict: Verdict
@@ -118,10 +116,14 @@ def _scan_families(
     The evaluator reads it in batches of 1, 2, 4, ... entries up to
     BATCH_BOUND, so a judge that stops at a failure has only that
     failure's batch evaluated, and a family that repeats an earlier
-    f-offset reads the values of its twists walked already.
+    f-offset, in this scan or an earlier one on b, reads its violating
+    intervals and the values of its twists from the evaluator.
     """
+    violations = _evaluator(s, b).violations
     for name, offset in families:
-        for lo, hi in violating_twists(s, b, offset):
+        if offset not in violations:
+            violations[offset] = violating_twists(s, b, offset)
+        for lo, hi in violations[offset]:
             for t in range(lo, hi + 1):
                 yield name, DivisorClass(t, offset), 1
 
@@ -182,7 +184,7 @@ def is_ulrich(s: Scroll, b) -> ProbeVerdict:
         raise EmptyBundle("the Ulrich test needs a bundle of positive rank")
     probes = _evaluator(s, b).read(_ulrich_probe_plan())
     judged = _judge(probes)
-    return judged if judged.verdict is Verdict.INDETERMINATE else replace(judged, probes=probes)
+    return judged if judged.verdict is Verdict.INDETERMINATE else judged._replace(probes=probes)
 
 
 def make_ulrich(s: Scroll, a: int, b: int) -> BundleExpr:

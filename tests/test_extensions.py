@@ -6,7 +6,9 @@ term (direct sum of the two sides) is one realizable choice, so its
 exact values must always land inside; chi must match exactly.
 """
 
+import copy
 import gc
+import pickle
 import random
 import weakref
 
@@ -17,6 +19,7 @@ from scrollcalc import (
     DivisorClass,
     Ext,
     IntervalCohom,
+    P1Sum,
     Scroll,
     Sum,
     Verdict,
@@ -130,6 +133,8 @@ def test_interval_validation():
         IntervalCohom(lo0=-1, hi0=1, lo1=0, hi1=0, lo2=0, hi2=0, chi=0)
     iv = IntervalCohom(3, 3, 1, 1, 0, 0, 2)
     assert iv.forced and iv.chi == 2
+    with pytest.raises(ValueError):
+        iv._replace(lo0=4)
     assert iv.lo(-1) == iv.hi(-1) == 0
     assert iv.lo(3) == iv.hi(3) == 0
 
@@ -393,6 +398,64 @@ def test_deep_chain_decides_without_recursion(monkeypatch):
     v = decide_split_tH(s, b)
     assert (v.outcome, v.failure.twist, v.failure.lo) == (Verdict.FALSE, DivisorClass(0, -1), 10_000)
     assert len(compiled) == 1
+
+
+def reference_repr(b):
+    """The repr a dataclass generates for the tree, recursively."""
+    if isinstance(b, Ext):
+        return f"Ext(sub={reference_repr(b.sub)}, quot={reference_repr(b.quot)})"
+    return f"Sum(terms={b.terms!r})"
+
+
+few_sums = st.sampled_from([line_bundle(0, 0), line_bundle(1, -1), bundle_sum(ZERO, ZERO)])
+
+
+@given(exprs(3, few_sums), exprs(3, few_sums))
+def test_equality_hash_and_repr_follow_the_tree(x, y):
+    # a copy rebuilt from text is another object with the same tree
+    copy = parse_bundle_spec(format_bundle(x))
+    assert copy is not x
+    assert copy == x and hash(copy) == hash(x)
+    assert repr(copy) == repr(x) == reference_repr(x)
+    assert (x == y) is (format_bundle(x) == format_bundle(y))
+
+
+def test_deep_chain_compares_hashes_and_prints_without_recursion():
+    # 10,000 Ext levels, far past the interpreter's recursion limit
+    def chain(top):
+        b = line_bundle(0, 0)
+        for k in range(1, 10_000):
+            b = Ext(b, line_bundle(k % 3, 0))
+        return Ext(b, top)
+
+    b, same, other = chain(line_bundle(1, 1)), chain(line_bundle(1, 1)), chain(line_bundle(1, 2))
+    assert b == same and hash(b) == hash(same)
+    assert b != other and b != b.sub
+    text = repr(b)
+    assert text.startswith("Ext(sub=" * 10_000 + "Sum(terms=((DivisorClass(h=0, f=0), 1),)), quot=")
+    assert text.endswith(", quot=Sum(terms=((DivisorClass(h=1, f=1), 1),)))")
+    assert text.count("Ext(") == 10_000
+
+
+def test_expressions_are_immutable():
+    b = Ext(line_bundle(0, 0), line_bundle(1, 0))
+    for node, field in ((b, "sub"), (b.sub, "terms"), (line_cohomology(Scroll(1, 2), ZERO), "h0")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+
+
+def test_records_copy_and_pickle():
+    s = Scroll(1, 2)
+    b = Ext(line_bundle(0, -3), bundle_sum(DivisorClass(1, 2), DivisorClass(1, 2)))
+    records = (
+        s, P1Sum((2, -1)), line_cohomology(s, ZERO), b, b.sub, extension_cohomology(s, b),
+        is_acm(s, b), decide_split_tH(s, b),
+    )
+    for record in records:
+        for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(clone) is type(record) and clone == record
 
 
 def test_evaluators_live_on_their_expression():

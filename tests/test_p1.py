@@ -27,7 +27,9 @@ def test_sym_decompose_rejects_negative_power():
 
 def test_degrees_are_sorted():
     p = P1Sum((5, -2, 3))
-    assert tuple(p) == (-2, 3, 5)
+    assert tuple(p) == p.degrees == (-2, 3, 5)
+    assert p.rank == len(p) == 3 and 3 in p
+    assert repr(p) == "P1Sum(degrees=(-2, 3, 5))"
 
 
 @given(st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=8))

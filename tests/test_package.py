@@ -1,6 +1,10 @@
 """The package's exported names."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,21 @@ def test_deleted_names_are_gone(module, name):
     with pytest.raises(ImportError):
         exec(f"from scrollcalc import {name}", {})
     assert not hasattr(module, name)
+
+
+def test_import_loads_no_heavy_modules():
+    # every CLI call pays for the import: in a fresh interpreter, what
+    # `import scrollcalc, scrollcalc.cli` loads beyond argparse and json
+    code = (
+        "import sys, argparse, json; before = set(sys.modules); import scrollcalc, scrollcalc.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(scrollcalc.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "scrollcalc.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast"}
 
 
 def test_deleted_methods_are_gone():

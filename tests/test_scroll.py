@@ -26,6 +26,8 @@ scrolls = st.builds(
 def test_invalid_scrolls_rejected(a0, a1):
     with pytest.raises(InvalidScroll):
         Scroll(a0, a1)
+    with pytest.raises(InvalidScroll):
+        Scroll(3, 3)._replace(a0=a0, a1=a1)
 
 
 def test_invalid_scroll_message():

@@ -34,7 +34,7 @@ from scrollcalc import (
     sum_cohomology,
     violating_twists,
 )
-from scrollcalc import extensions
+from scrollcalc import extensions, splitting
 from scrollcalc.harness import (
     brute_force_violations,
     random_sum_bundle,
@@ -236,6 +236,22 @@ def test_scan_batches_double_and_walk_each_twist_once(monkeypatch):
     assert BATCH_BOUND == 256
     assert [len(w) for w in walked] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 231]
     assert [t for w in walked for t in w] == distinct
+
+
+def test_violating_twists_computed_once_per_offset(monkeypatch):
+    # on S(1,1) is_acm and all four three-type families scan f-offset 0,
+    # and the h-twist families scan c - 1 = 1 and -1: the evaluator the
+    # decisions share keeps each offset's intervals
+    s = Scroll(1, 1)
+    b = Ext(line_bundle(0, -5), line_bundle(0, 5))
+    offsets = []
+    real = splitting.violating_twists
+    monkeypatch.setattr(
+        splitting, "violating_twists", lambda s, b, offset: offsets.append(offset) or real(s, b, offset)
+    )
+    for decide in (is_acm, decide_split_acm3, decide_split_tH, decide_split_acm3):
+        decide(s, b)
+    assert offsets == [0, 1, -1]
 
 
 def test_acm_fibre_twist_classification(scroll):
