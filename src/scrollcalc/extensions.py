@@ -26,15 +26,24 @@ read the counted `terms` of the Sum nodes that `sums()` yields; only
 
 The interval kernel runs in two steps.  `_compile` turns a tree into a
 post-order program over its distinct Sums, deduplicated by `terms`;
-`_walk` runs that program at a batch of twists: every node carries one
-value per twist, and each distinct Sum is evaluated once per walk, at
-all the twists together, straight from the cached line cohomology of
-its classes.  `extension_cohomology_stream` is the batch API: it
+`_walk` runs that program at a batch of twists: each distinct Sum is
+evaluated once per twist, straight from the cached line cohomology of
+its classes, and every node carries one value per twist that is not
+forced (below).  `extension_cohomology_stream` is the batch API: it
 compiles once and walks BATCH_BOUND twists at a time.
-`extension_cohomology` compiles and walks for one twist.  Every Ext
-node at every twist, not just the root, is checked against the
-`IntervalCohom` invariants of `_check_interval` (0 <= lo_i <= hi_i, chi
-inside the alternating-sum range), and a failure raises through it.
+`extension_cohomology` compiles and walks for one twist.
+
+A twist where every distinct Sum has h^1 = 0 is forced, and `_walk`
+answers it as the direct sum without running the program: H^1 of every
+node is then 0 (it sits between H^1 of its sub and quot), so each long
+exact sequence splits into 0 -> H^i(sub) -> H^i(E) -> H^i(quot) -> 0
+for i = 0, 2, and every member of the class has the direct sum's
+cohomology, which the bounds above also give.  At a forced twist every
+Sum value is checked against the `IntervalCohom` invariants of
+`_check_interval` (0 <= lo_i <= hi_i, chi inside the alternating-sum
+range); valid Sum values make every node exact and valid.  At every
+other twist every Ext node, not just the root, is checked.  A failure
+raises through `_check_interval`.
 
 Every decision procedure in the package (regularity, splitting, ACM,
 Ulrich, summand detection) asks whether finitely many h^i vanish, and
@@ -208,9 +217,10 @@ class IntervalCohom(
 
 _Value = tuple[int, int, int, int, int, int, int]  # (lo0, hi0, lo1, hi1, lo2, hi2, chi)
 
-# a compiled tree: the terms of its distinct Sums, and its nodes in
-# post-order, each the index of a Sum or _COMBINE for an Ext node
-_Program = tuple[tuple[tuple[tuple[DivisorClass, int], ...], ...], tuple[int, ...]]
+# a compiled tree: the terms of its distinct Sums, its nodes in
+# post-order, each the index of a Sum or _COMBINE for an Ext node, and
+# how many nodes each distinct Sum is
+_Program = tuple[tuple[tuple[tuple[DivisorClass, int], ...], ...], tuple[int, ...], tuple[int, ...]]
 _COMBINE = -1
 
 # twists per walk, at most: `table` walks batches of this many, and a
@@ -222,6 +232,7 @@ def _compile(b) -> _Program:
     """The post-order program of a bundle expression, built from an
     explicit stack; Sums are deduplicated by `terms`."""
     sums: list[tuple] = []
+    counts: list[int] = []
     index: dict[tuple, int] = {}  # Sum terms -> position in sums
     ops: list[int] = []
     for piece in _pieces(as_bundle_expr(b)):
@@ -229,46 +240,75 @@ def _compile(b) -> _Program:
             i = index.setdefault(piece.terms, len(sums))
             if i == len(sums):
                 sums.append(piece.terms)
+                counts.append(0)
+            counts[i] += 1
             ops.append(i)
         elif piece == ")":  # the Ext node's sub and quot are done
             ops.append(_COMBINE)
-    return tuple(sums), tuple(ops)
+    return tuple(sums), tuple(ops), tuple(counts)
 
 
 def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[_Value]:
     """The interval kernel: one run of a compiled tree for a batch of twists.
 
-    Every node carries one value per twist, a plain (lo0, hi0, lo1, hi1,
-    lo2, hi2, chi) tuple.  Each distinct Sum is evaluated exactly, once,
-    at all the twists together, from the cached line cohomology of its
-    classes; an Ext node combines its children twist by twist through
-    the long exact sequence bounds of the module docstring, and each
-    combined value must pass `_check_interval`.
+    Each distinct Sum is evaluated exactly, once per twist, from the
+    cached line cohomology of its classes.  A twist where every distinct
+    Sum has h^1 = 0 is forced: there each long exact sequence splits
+    into short exact sequences in H^0 and H^2, so every member of the
+    class has the direct sum's cohomology.  It is answered as the direct
+    sum, with each Sum counted as often as it occurs in the tree, and
+    each of its Sum values must pass `_check_interval`.  The remaining
+    twists run the program, every node carrying one plain (lo0, hi0,
+    lo1, hi1, lo2, hi2, chi) tuple per twist: an Ext node combines its
+    children twist by twist through the long exact sequence bounds of
+    the module docstring, and each combined value must pass
+    `_check_interval`.  Values come back in the order of `twists`.  A
+    tree that is a lone Sum is its own answer and is never split.
     """
-    sums, ops = program
+    sums, ops, counts = program
     a0, a1 = s.a0, s.a1
     # looked up when the walk runs, so that a function put in the
     # module's place (the benchmark's oracles swap in the uncached one)
     # is the one called
     line = cohomology._line_cohomology
-    # exact, so lo = hi and chi is the alternating sum.  Shared between
-    # ops, never mutated.
-    exact = []
-    for terms in sums:
-        column = []
-        for th, tf in twists:
+    m = len(sums)
+    lone = len(ops) == 1
+    # the exact value of each Sum, m to a twist, at each twist not forced
+    flat = []
+    forced = []  # (position in twists, direct-sum value)
+    for th, tf in twists:
+        # nonzero once some Sum has h^1 != 0, negative included; for a
+        # lone Sum nonzero from the start, so no twist of it is forced
+        h1s = lone
+        for terms in sums:
             h0 = h1 = h2 = 0
             for (h, f), n in terms:
                 l0, l1, l2 = line(a0, a1, h + th, f + tf)
                 h0 += n * l0
                 h1 += n * l1
                 h2 += n * l2
-            column.append((h0, h0, h1, h1, h2, h2, h0 - h1 + h2))
-        exact.append(column)
+            h1s |= h1
+            # exact, so lo = hi and chi is the alternating sum
+            flat.append((h0, h0, h1, h1, h2, h2, h0 - h1 + h2))
+        if h1s:
+            continue
+        t0 = t2 = 0
+        for v, n in zip(flat[-m:], counts):
+            if v[0] < 0 or v[4] < 0:
+                _check_interval(*v)
+            t0 += n * v[0]
+            t2 += n * v[4]
+        del flat[-m:]
+        # the twists before this one: those left in flat, and the forced
+        forced.append((len(flat) // m + len(forced), (t0, t0, 0, 0, t2, t2, t0 + t2)))
+    if lone:
+        return flat
+    if not flat:
+        return [v for _, v in forced]
     values: list[list[_Value]] = []
     for op in ops:
         if op != _COMBINE:
-            values.append(exact[op])
+            values.append(flat[op::m])
             continue
         quots = values.pop()
         subs = values.pop()
@@ -295,7 +335,11 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
                 _check_interval(lo0, hi0, lo1, hi1, lo2, hi2, chi)
             combined.append((lo0, hi0, lo1, hi1, lo2, hi2, chi))
         values.append(combined)
-    return values[0]
+    out = values[0]
+    # in increasing position, so each lands where it belongs
+    for k, v in forced:
+        out.insert(k, v)
+    return out
 
 
 def extension_cohomology(s: Scroll, b, twist: DivisorClass = ZERO) -> IntervalCohom:

@@ -16,6 +16,9 @@ from scrollcalc.extensions import BATCH_BOUND
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
 MATRIX = json.loads((GOLDEN / "cli_matrix.json").read_text())
+# a 40-node chain on S(1,2) and a balanced 31-node tree on S(2,3), each
+# over a 16 x 16 twist rectangle where forced and unforced twists mix
+TABLES = json.loads((GOLDEN / "table_ext_16x16.json").read_text())
 
 
 def run(capsys, *argv):
@@ -47,6 +50,11 @@ def test_readme_cli_examples(capsys, argv, shown, cut):
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert (lines[: len(shown)] if cut else lines) == shown
+
+
+@pytest.mark.parametrize("case", TABLES, ids=["chain", "balanced"])
+def test_golden_ext_tables(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
 def test_golden_cohomology_json(capsys):

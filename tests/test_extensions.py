@@ -13,7 +13,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from scrollcalc import (
     DivisorClass,
@@ -42,6 +42,7 @@ from scrollcalc import (
     parse_bundle_spec,
     reg,
     sum_cohomology,
+    twist_rectangle,
 )
 
 from scrollcalc import cohomology, extensions, regularity, splitting
@@ -307,6 +308,57 @@ def test_batch_checks_every_node_at_every_twist(monkeypatch):
     assert [as_reference(iv) for _, iv in extension_cohomology_stream(s, b, rest)] == [
         reference_cohomology(s, b, t) for t in rest
     ]
+
+
+def forced_twist(s, b, t):
+    """Whether every Sum of b has h^1 = 0 at t, where the kernel answers
+    with the direct sum."""
+    return all(sum_cohomology(s, node, t).h1 == 0 for node in b.sums())
+
+
+rectangles = st.tuples(st.integers(-6, 4), st.integers(1, 16), st.integers(-8, 6), st.integers(1, 16))
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(scrolls, exprs(5), rectangles, st.sampled_from(["forced", "unforced", "mixed"]))
+def test_forced_twists_take_the_direct_sum(s, b, rectangle, kind):
+    # one batch of up to 256 twists from a rectangle: its forced twists
+    # only, its other twists only, or all of it with both kinds present
+    hlo, wh, flo, wf = rectangle
+    cells = list(twist_rectangle((hlo, hlo + wh - 1), (flo, flo + wf - 1)))
+    forced = [t for t in cells if forced_twist(s, b, t)]
+    batch = {"forced": forced, "unforced": [t for t in cells if t not in forced], "mixed": cells}[kind]
+    assume(batch and (kind != "mixed" or 0 < len(forced) < len(cells)))
+    got = list(extension_cohomology_stream(s, b, batch))
+    assert [t for t, _ in got] == batch
+    assert [as_reference(iv) for _, iv in got] == [reference_cohomology(s, b, t) for t in batch]
+    direct = bundle_sum(*b.leaves())
+    for t in forced if kind != "unforced" else ():
+        iv, h = extension_cohomology(s, b, t), sum_cohomology(s, direct, t)
+        assert iv.forced and (iv.lo0, iv.lo1, iv.lo2, iv.chi) == (h.h0, h.h1, h.h2, h.chi)
+
+
+def test_forced_twist_checks_every_leaf(monkeypatch):
+    # at twist 0 on S(1,2), O(-3,-2) has h = (0, 0, 11) and O(0,0) has
+    # h^1 = 0, so the twist is forced.  A lookup of O(0,0) corrupted to
+    # h2 = -5 is masked at the Ext node (lo2 = 11 - 5 = hi2) but not at
+    # the leaf
+    s = Scroll(1, 2)
+    b = Ext(line_bundle(-3, -2), line_bundle(0, 0))
+    real = cohomology._line_cohomology
+
+    def corrupt(value):
+        return lambda a0, a1, h, f: value if (h, f) == (0, 0) else real(a0, a1, h, f)
+
+    monkeypatch.setattr(cohomology, "_line_cohomology", corrupt((0, 0, -5)))
+    with pytest.raises(ValueError, match=r"^degree 2: need 0 <= lo <= hi$"):
+        extension_cohomology(s, b)
+    # a leaf with h^1 < 0 is never forced, not even where O(0,-2)'s
+    # h^1 = 1 cancels it in the sum, and the Ext node fails the check
+    monkeypatch.setattr(cohomology, "_line_cohomology", corrupt((1, -1, 0)))
+    with pytest.raises(ValueError, match=r"^degree 2: need 0 <= lo <= hi$"):
+        extension_cohomology(s, Ext(line_bundle(0, -2), line_bundle(0, 0)))
 
 
 def test_probe_plans_take_one_walk(walks):
