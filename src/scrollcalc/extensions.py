@@ -219,7 +219,7 @@ _Value = tuple[int, int, int, int, int, int, int]  # (lo0, hi0, lo1, hi1, lo2, h
 
 # a compiled tree: the terms of its distinct Sums, its nodes in
 # post-order, each the index of a Sum or _COMBINE for an Ext node, and
-# how many nodes each distinct Sum is
+# how often each distinct Sum occurs in the tree
 _Program = tuple[tuple[tuple[tuple[DivisorClass, int], ...], ...], tuple[int, ...], tuple[int, ...]]
 _COMBINE = -1
 
