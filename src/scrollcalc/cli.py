@@ -11,8 +11,16 @@ per invocation and the rows stream in batches of
 `extensions.BATCH_BOUND` twists, each batch from one walk, so memory
 does not grow with the width of `--twists`.
 
-JSON results share one envelope, `{"scroll", "input", <result fields>,
-"witnesses", "flags"}`; only `cohomology` keeps its own short shape.
+A handler describes its result once and `_render` writes both forms:
+the JSON envelope `{"scroll", "input", <result fields>, "witnesses",
+"flags"}`, and the plain lines, one `key: value` per result field in
+order, then one line per witness (a witness is a pair of its JSON object
+and its plain line), then one `key: value` per flag (a split verdict's
+`note`, `log`'s `supported` and `formula_only`).  Fields that are None
+are left out of both, and a value that is not a string prints as its
+JSON text.  `cohomology` and `table` keep shapes of their own; `ext1`,
+`log-check` and `classify-log` keep their own plain lines, and take
+their JSON from `_render`.
 
 Exit codes: 0 when a result was computed (negative and indeterminate
 verdicts included), 2 for usage or bundle-spec parse errors, 3 for
@@ -83,17 +91,22 @@ def _scroll_obj(s: Scroll) -> dict:
     return {"a0": s.a0, "a1": s.a1}
 
 
-def _probe_obj(p: Probe) -> dict:
-    return {"name": p.name, "twist": [p.twist.h, p.twist.f], "lo": p.lo, "hi": p.hi}
+def _probe_pair(p: Probe, label: str) -> tuple[dict, str]:
+    """A probe as a witness: its JSON object and its plain line."""
+    return {"name": p.name, "twist": [p.twist.h, p.twist.f], "lo": p.lo, "hi": p.hi}, f"{label}: {p.describe()}"
 
 
-def _envelope(s: Scroll, given, witnesses=(), flags=None, **fields) -> dict:
-    """The shared JSON shape; result fields whose value is None are left out."""
-    obj = {"scroll": _scroll_obj(s), "input": given}
-    obj.update((k, v) for k, v in fields.items() if v is not None)
-    obj["witnesses"] = list(witnesses)
-    obj["flags"] = flags or {}
-    return obj
+def _render(s: Scroll, given, witnesses=(), flags=None, **fields) -> tuple[dict, list[str]]:
+    """One result in both forms, by the rule of the module docstring;
+    result fields whose value is None are left out of both."""
+    fields = {k: v for k, v in fields.items() if v is not None}
+    flags = flags or {}
+    obj = {"scroll": _scroll_obj(s), "input": given, **fields, "witnesses": [w for w, _ in witnesses], "flags": flags}
+
+    def plain(items):
+        return [f"{k}: {v if isinstance(v, str) else json.dumps(v)}" for k, v in items]
+
+    return obj, plain(fields.items()) + [line for _, line in witnesses] + plain(flags.items())
 
 
 def _cmd_cohomology(args, s, b):
@@ -118,91 +131,70 @@ def _cmd_table(args, s, b):
 def _cmd_regularity(args, s, b):
     report = is_pp_regular(s, b, args.p, args.pp)
     r = reg(s, b)
-    reg_out = r if isinstance(r, int) else r.value
     given = {"bundle": format_bundle(b), "p": args.p, "pp": args.pp}
-    obj = _envelope(s, given, map(_probe_obj, report.probes), verdict=report.verdict.value, reg=reg_out)
-    lines = [f"verdict: {report.verdict.value}", f"reg: {reg_out}"]
-    return obj, lines + [f"probe: {p.describe()}" for p in report.probes]
+    witnesses = [_probe_pair(p, "probe") for p in report.probes]
+    return _render(s, given, witnesses, verdict=report.verdict.value, reg=r if isinstance(r, int) else r.value)
 
 
 def _cmd_split(s, b, decide):
     verdict = decide(s, b)
-    word = _SPLIT_WORDS[verdict.outcome]
-    splitting = format_bundle(verdict.witness) if verdict.witness is not None else None
-    witnesses, lines = [], [f"verdict: {word}"]
-    if splitting is not None:
-        lines.append(f"splitting: {splitting}")
+    witnesses = []
     if verdict.failure is not None:
         w = verdict.failure
-        witnesses.append({"condition": w.name, "t": w.twist.h, "value": w.lo})
-        lines.append(f"witness: {w.name} at t = {w.twist.h}, value {w.lo}")
-    witnesses.extend(_probe_obj(p) for p in verdict.probes)
-    lines.extend(f"unresolved: {p.describe()}" for p in verdict.probes)
-    if verdict.note:
-        lines.append(f"note: {verdict.note}")
-    flags = {"note": verdict.note} if verdict.note else {}
-    return _envelope(s, format_bundle(b), witnesses, flags, verdict=word, splitting=splitting), lines
+        line = f"witness: {w.name} at t = {w.twist.h}, value {w.lo}"
+        witnesses.append(({"condition": w.name, "t": w.twist.h, "value": w.lo}, line))
+    witnesses += (_probe_pair(p, "unresolved") for p in verdict.probes)
+    splitting = format_bundle(verdict.witness) if verdict.witness is not None else None
+    flags = {"note": verdict.note} if verdict.note else None
+    return _render(s, format_bundle(b), witnesses, flags, verdict=_SPLIT_WORDS[verdict.outcome], splitting=splitting)
 
 
 def _cmd_summand(args, s, b):
     result = detect_line_summand(s, b)
+    witnesses = [_probe_pair(result.witness, "witness")] if result.witness is not None else []
+    witnesses += (_probe_pair(p, "probe") for p in result.probes)
     summand = str(result.summand) if result.summand is not None else None
-    lines = [f"verdict: {result.verdict.value}"]
-    if summand is not None:
-        lines.append(f"summand: {summand}")
-    witnesses = list(result.probes)
-    if result.witness is not None:
-        lines.append(f"witness: {result.witness.describe()}")
-        witnesses.insert(0, result.witness)
-    lines.extend(f"probe: {p.describe()}" for p in result.probes)
-    obj = _envelope(s, format_bundle(b), map(_probe_obj, witnesses), verdict=result.verdict.value, summand=summand)
-    return obj, lines
+    return _render(s, format_bundle(b), witnesses, verdict=result.verdict.value, summand=summand)
 
 
 def _cmd_acm(args, s, b):
     result = is_acm(s, b)
-    witnesses, lines = [], [f"verdict: {result.verdict.value}"]
+    witnesses = []
     if result.witness is not None:
         w = result.witness
-        witnesses.append({"t": w.twist.h, "value": w.lo})
-        lines.append(f"witness: t = {w.twist.h}, h1 = {w.lo}")
-    witnesses.extend(_probe_obj(p) for p in result.probes)
-    lines.extend(f"unresolved: {p.describe()}" for p in result.probes)
-    return _envelope(s, format_bundle(b), witnesses, verdict=result.verdict.value), lines
+        witnesses.append(({"t": w.twist.h, "value": w.lo}, f"witness: t = {w.twist.h}, h1 = {w.lo}"))
+    witnesses += (_probe_pair(p, "unresolved") for p in result.probes)
+    return _render(s, format_bundle(b), witnesses, verdict=result.verdict.value)
 
 
 def _cmd_ulrich(args, s, b):
     result = is_ulrich(s, b)
-    shown, label = (), ""
+    witnesses = []
     if result.witness is not None:
-        shown, label = (result.witness,), "witness"
+        witnesses = [_probe_pair(result.witness, "witness")]
     elif result.verdict is Verdict.INDETERMINATE:
-        shown, label = result.probes, "unresolved"
-    obj = _envelope(s, format_bundle(b), map(_probe_obj, shown), verdict=result.verdict.value)
-    return obj, [f"verdict: {result.verdict.value}"] + [f"{label}: {p.describe()}" for p in shown]
+        witnesses = [_probe_pair(p, "unresolved") for p in result.probes]
+    return _render(s, format_bundle(b), witnesses, verdict=result.verdict.value)
 
 
 def _cmd_ulrich_make(args, s, b):
     expr = make_ulrich(s, args.a, args.b)
-    bundle = format_bundle(expr)
-    verdict = is_ulrich(s, expr).verdict.value
-    obj = _envelope(s, {"a": args.a, "b": args.b}, bundle=bundle, verdict=verdict)
-    return obj, [f"bundle: {bundle}", f"verdict: {verdict}"]
+    given = {"a": args.a, "b": args.b}
+    return _render(s, given, bundle=format_bundle(expr), verdict=is_ulrich(s, expr).verdict.value)
 
 
 def _cmd_ext1(args, s, b):
-    from_ = DivisorClass(*args.from_)
-    to = DivisorClass(*args.to)
+    from_, to = DivisorClass(*args.from_), DivisorClass(*args.to)
     dim = ext1_dim(s, from_, to)
-    return _envelope(s, {"from": [from_.h, from_.f], "to": [to.h, to.f]}, ext1=dim), [f"ext1 = {dim}"]
+    obj, _ = _render(s, {"from": [from_.h, from_.f], "to": [to.h, to.f]}, ext1=dim)
+    return obj, [f"ext1 = {dim}"]
 
 
 def _cmd_log(args, s, b):
     arr = validate_arrangement(s, args.lines, args.curves)
-    splitting = format_bundle(log_splitting_type(arr))
     flags = {"supported": arr.supported, "formula_only": arr.formula_only}
-    obj = _envelope(s, {"lines": args.lines, "curves": args.curves}, flags=flags, splitting=splitting)
-    return obj, [f"splitting: {splitting}"] + [f"{key}: {str(value).lower()}" for key, value in flags.items()]
+    given = {"lines": args.lines, "curves": args.curves}
+    return _render(s, given, flags=flags, splitting=format_bundle(log_splitting_type(arr)))
 
 
 def _cmd_log_check(args, s, b):
@@ -216,16 +208,19 @@ def _cmd_log_check(args, s, b):
     report = residue_consistency(arr, claimed, twist_rectangle(*args.twists))
     verdict = "true" if report.ok else "false"
     given = {"lines": args.lines, "curves": args.curves, "claimed": format_bundle(claimed)}
-    failed = report.chi_failures
-    witnesses = [{"twist": [c.twist.h, c.twist.f], "lhs": c.lhs, "rhs": c.rhs} for c in failed]
-    obj = _envelope(s, given, witnesses, verdict=verdict, c1_ok=report.c1_check,
-                    chi_total=report.chi_total, chi_failed=report.chi_failed)
+    witnesses = [
+        ({"twist": [c.twist.h, c.twist.f], "lhs": c.lhs, "rhs": c.rhs},
+         f"chi mismatch at twist {c.twist}: claimed {c.lhs}, residue {c.rhs}")
+        for c in report.chi_failures
+    ]
+    obj, _ = _render(s, given, witnesses, verdict=verdict, c1_ok=report.c1_check,
+                     chi_total=report.chi_total, chi_failed=report.chi_failed)
     lines = [
         f"verdict: {verdict}",
         f"c1: {'ok' if report.c1_check else 'mismatch, expected ' + str(report.c1_expected)}",
         f"chi: {report.chi_total - report.chi_failed}/{report.chi_total} ok",
     ]
-    return obj, lines + [f"chi mismatch at twist {c.twist}: claimed {c.lhs}, residue {c.rhs}" for c in failed]
+    return obj, lines + [line for _, line in witnesses]
 
 
 def _cmd_classify_log(args, s, b):
@@ -233,7 +228,7 @@ def _cmd_classify_log(args, s, b):
         {"lines": a, "curves": c, "splitting": format_bundle(split)}
         for a, c, split in classify_regular_acm_log(s, args.max_lines, args.max_curves)
     ]
-    obj = _envelope(s, {"max_lines": args.max_lines, "max_curves": args.max_curves}, classification=found)
+    obj, _ = _render(s, {"max_lines": args.max_lines, "max_curves": args.max_curves}, classification=found)
     return obj, [f"({r['lines']},{r['curves']}): {r['splitting']}" for r in found] + [f"count: {len(found)}"]
 
 

@@ -42,8 +42,12 @@ cohomology, which the bounds above also give.  At a forced twist every
 Sum value is checked against the `IntervalCohom` invariants of
 `_check_interval` (0 <= lo_i <= hi_i, chi inside the alternating-sum
 range); valid Sum values make every node exact and valid.  At every
-other twist every Ext node, not just the root, is checked.  A failure
-raises through `_check_interval`.
+other twist every Ext node, not just the root, is checked, while a
+Sum's own value there is its exact cohomology, summed from the line
+cohomology of its classes.  A failure raises through `_check_interval`.
+`extension_cohomology` and `extension_cohomology_stream` wrap the values
+of `_walk` in `IntervalCohom` without checking them a second time; an
+`IntervalCohom` built directly checks its fields.
 
 Every decision procedure in the package (regularity, splitting, ACM,
 Ulrich, summand detection) asks whether finitely many h^i vanish, and
@@ -74,6 +78,7 @@ from typing import NamedTuple
 
 from . import cohomology
 from .cohomology import Sum, _frozen, line_cohomology
+from .errors import EmptyBundle
 from .scroll import ZERO, DivisorClass, Scroll
 
 
@@ -179,6 +184,15 @@ def as_bundle_expr(x) -> BundleExpr:
     raise TypeError(f"cannot interpret {x!r} as a bundle expression")
 
 
+def _nonzero(b, message: str) -> BundleExpr:
+    """The rank-0 guard of the decisions: b as a bundle expression, or
+    EmptyBundle(message) when it has no line bundle at all."""
+    b = as_bundle_expr(b)
+    if not any(node.terms for node in b.sums()):
+        raise EmptyBundle(message)
+    return b
+
+
 def _check_interval(lo0: int, hi0: int, lo1: int, hi1: int, lo2: int, hi2: int, chi: int) -> None:
     for i, lo, hi in ((0, lo0, hi0), (1, lo1, hi1), (2, lo2, hi2)):
         if not 0 <= lo <= hi:
@@ -262,8 +276,7 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
     lo1, hi1, lo2, hi2, chi) tuple per twist: an Ext node combines its
     children twist by twist through the long exact sequence bounds of
     the module docstring, and each combined value must pass
-    `_check_interval`.  Values come back in the order of `twists`.  A
-    tree that is a lone Sum is its own answer and is never split.
+    `_check_interval`.  Values come back in the order of `twists`.
     """
     sums, ops, counts = program
     a0, a1 = s.a0, s.a1
@@ -272,14 +285,12 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
     # is the one called
     line = cohomology._line_cohomology
     m = len(sums)
-    lone = len(ops) == 1
     # the exact value of each Sum, m to a twist, at each twist not forced
     flat = []
     forced = []  # (position in twists, direct-sum value)
     for th, tf in twists:
-        # nonzero once some Sum has h^1 != 0, negative included; for a
-        # lone Sum nonzero from the start, so no twist of it is forced
-        h1s = lone
+        # nonzero once some Sum has h^1 != 0, negative included
+        h1s = 0
         for terms in sums:
             h0 = h1 = h2 = 0
             for (h, f), n in terms:
@@ -301,8 +312,6 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
         del flat[-m:]
         # the twists before this one: those left in flat, and the forced
         forced.append((len(flat) // m + len(forced), (t0, t0, 0, 0, t2, t2, t0 + t2)))
-    if lone:
-        return flat
     if not flat:
         return [v for _, v in forced]
     values: list[list[_Value]] = []
@@ -345,7 +354,7 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
 def extension_cohomology(s: Scroll, b, twist: DivisorClass = ZERO) -> IntervalCohom:
     """Interval cohomology of a bundle expression twisted by `twist`:
     one walk of the kernel at one twist."""
-    return IntervalCohom(*_walk(s, _compile(b), (twist,))[0])
+    return tuple.__new__(IntervalCohom, _walk(s, _compile(b), (twist,))[0])
 
 
 def extension_cohomology_stream(
@@ -358,7 +367,7 @@ def extension_cohomology_stream(
     twists = iter(twists)
     while batch := tuple(islice(twists, BATCH_BOUND)):
         for twist, v in zip(batch, _walk(s, program, batch)):
-            yield twist, IntervalCohom(*v)
+            yield twist, tuple.__new__(IntervalCohom, v)
 
 
 class _Evaluator:

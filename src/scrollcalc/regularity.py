@@ -30,8 +30,7 @@ and every other decision on it share.
 
 from __future__ import annotations
 
-from .errors import EmptyBundle
-from .extensions import Ext, ProbeVerdict, Verdict, _evaluator, _judge, as_bundle_expr
+from .extensions import Ext, ProbeVerdict, Verdict, _evaluator, _judge, _nonzero
 from .scroll import DivisorClass, Scroll
 
 
@@ -91,11 +90,8 @@ def reg(s: Scroll, b) -> int | Verdict:
     Ext inputs are probed at r - 1.  Its three or six probes are read
     in one walk, through the evaluator every decision on b shares.
     """
-    b = as_bundle_expr(b)
-    classes = [d for node in b.sums() for d, _ in node.terms]
-    if not classes:
-        raise EmptyBundle("Reg of the zero bundle is not defined")
-    r = max(line_bundle_reg(s, d) for d in classes)
+    b = _nonzero(b, "Reg of the zero bundle is not defined")
+    r = max(line_bundle_reg(s, d) for node in b.sums() for d, _ in node.terms)
     plan = _probe_plan(s, r, 0) + (_probe_plan(s, r - 1, 0) if isinstance(b, Ext) else ())
     probes = _evaluator(s, b).read(plan)
     if _judge(probes[:3]).verdict is not Verdict.TRUE:

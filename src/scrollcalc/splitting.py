@@ -43,7 +43,7 @@ from .extensions import (
     Verdict,
     _evaluator,
     _judge,
-    as_bundle_expr,
+    _nonzero,
     forced_split,
 )
 from .regularity import is_regular
@@ -107,32 +107,34 @@ def violating_twists(s: Scroll, b: BundleExpr, offset: int) -> tuple[tuple[int, 
     return tuple(merged)
 
 
-def _scan_families(
-    s: Scroll, b: BundleExpr, families: tuple[tuple[str, int], ...]
-) -> Iterator[tuple[str, DivisorClass, int]]:
-    """The lazy plan of a scan: the h^1 probe of every violating twist,
-    family-major, t ascending.
+def _scan(s: Scroll, b: BundleExpr, families: tuple[tuple[str, int], ...]) -> ProbeVerdict:
+    """The vanishing rule over the h^1 probe of every violating twist of
+    `families`, family-major, t ascending: the scan of `_decide` and
+    `is_acm`.
 
-    The evaluator reads it in batches of 1, 2, 4, ... entries up to
-    BATCH_BOUND, so a judge that stops at a failure has only that
+    The evaluator reads this plan in batches of 1, 2, 4, ... entries up
+    to BATCH_BOUND, so a judge that stops at a failure has only that
     failure's batch evaluated, and a family that repeats an earlier
     f-offset, in this scan or an earlier one on b, reads its violating
     intervals and the values of its twists from the evaluator.
     """
-    violations = _evaluator(s, b).violations
-    for name, offset in families:
-        if offset not in violations:
-            violations[offset] = violating_twists(s, b, offset)
-        for lo, hi in violations[offset]:
-            for t in range(lo, hi + 1):
-                yield name, DivisorClass(t, offset), 1
+    evaluator = _evaluator(s, b)
+    violations = evaluator.violations
+
+    def plan() -> Iterator[tuple[str, DivisorClass, int]]:
+        for name, offset in families:
+            if offset not in violations:
+                violations[offset] = violating_twists(s, b, offset)
+            for lo, hi in violations[offset]:
+                for t in range(lo, hi + 1):
+                    yield name, DivisorClass(t, offset), 1
+
+    return _judge(evaluator.probes(plan()))
 
 
 def _decide(s: Scroll, b, families) -> SplitVerdict:
-    b = as_bundle_expr(b)
-    if b.rank() == 0:
-        raise EmptyBundle("splitting criteria need a bundle of positive rank")
-    judged = _judge(_evaluator(s, b).probes(_scan_families(s, b, families)))
+    b = _nonzero(b, "splitting criteria need a bundle of positive rank")
+    judged = _scan(s, b, families)
     if judged.verdict is not Verdict.TRUE:
         return SplitVerdict(judged.verdict, failure=judged.witness, probes=judged.probes)
     # conditions hold for every member of the class; the summand multiset
@@ -158,10 +160,7 @@ def decide_split_acm3(s: Scroll, b) -> SplitVerdict:
 
 def is_acm(s: Scroll, b) -> ProbeVerdict:
     """Whether h^1(b(tH)) vanishes for every integer t."""
-    b = as_bundle_expr(b)
-    if b.rank() == 0:
-        raise EmptyBundle("the ACM test needs a bundle of positive rank")
-    return _judge(_evaluator(s, b).probes(_scan_families(s, b, (("h1(E(tH))", 0),))))
+    return _scan(s, _nonzero(b, "the ACM test needs a bundle of positive rank"), (("h1(E(tH))", 0),))
 
 
 def _ulrich_probe_plan() -> tuple[tuple[str, DivisorClass, int], ...]:
@@ -179,9 +178,7 @@ def is_ulrich(s: Scroll, b) -> ProbeVerdict:
     twists; a TRUE or FALSE verdict carries all six, an INDETERMINATE
     one only the unresolved.
     """
-    b = as_bundle_expr(b)
-    if b.rank() == 0:
-        raise EmptyBundle("the Ulrich test needs a bundle of positive rank")
+    b = _nonzero(b, "the Ulrich test needs a bundle of positive rank")
     probes = _evaluator(s, b).read(_ulrich_probe_plan())
     judged = _judge(probes)
     return judged if judged.verdict is Verdict.INDETERMINATE else judged._replace(probes=probes)
@@ -251,9 +248,10 @@ def detect_line_summand(s: Scroll, b) -> SummandVerdict:
     a summand: the first cause gives O, the second O(f), the third
     O(H-f).  Cases are checked in that order and the first conclusive
     one wins.  A FALSE verdict means no cause fires, i.e. b(-H) is still
-    regular.  Raises NotRegular unless the input is certified regular.
+    regular.  Raises NotRegular unless the input is certified regular,
+    and EmptyBundle on a bundle of rank 0.
     """
-    b = as_bundle_expr(b)
+    b = _nonzero(b, "summand detection needs a bundle of positive rank")
     report = is_regular(s, b)
     if report.verdict is not Verdict.TRUE:
         state = "fails" if report.verdict is Verdict.FALSE else "cannot be certified"

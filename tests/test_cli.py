@@ -169,15 +169,48 @@ def test_negative_verdicts_exit_0(capsys):
         (("ulrich", "--scroll", "1,2", "--bundle", "O(1,-1)"), "verdict"),
         (("regularity", "--scroll", "1,2", "--bundle", "O(0,-1)"), "verdict"),
         (("summand", "--scroll", "1,2", "--bundle", "O(0,1)"), "verdict"),
+        (("split-h", "--scroll", "1,2", "--bundle", "O(0,1)"), "verdict"),
+        (("split-h", "--scroll", "2,2", "--bundle", "ext(O(0,0); O(2,3))"), "verdict"),
+        # every member splits, with no summand multiset: a note
+        (("split-acm", "--scroll", "1,2", "--bundle", "ext(O(-3,-1); O(-3,1))"), "verdict"),
+        (("ulrich", "--scroll", "1,1", "--bundle", "ext(O(-1,1); O(0,3))"), "verdict"),
+        (("ulrich-make", "--scroll", "1,2", "--a", "2", "--b", "1"), "bundle"),
+        (("log", "--scroll", "2,2", "--lines", "0", "--curves", "1"), "splitting"),
     ],
 )
 def test_plain_and_json_verdicts_agree(capsys, argv, key):
+    # the rendering rule: one `key: value` line per JSON result field in
+    # order, the first being `key`, then one line per JSON witness, then
+    # one `key: value` line per flag
     code, plain, _ = run(capsys, *argv)
     assert code == 0
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     obj = json.loads(out)
-    assert f"verdict: {obj[key]}" in plain
+    fields = [(k, v) for k, v in obj.items() if k not in ("scroll", "input", "witnesses", "flags")]
+    witnesses, flags = obj["witnesses"], list(obj["flags"].items())
+
+    def lines(items):
+        return [f"{k}: {v if isinstance(v, str) else json.dumps(v)}" for k, v in items]
+
+    assert fields[0][0] == key
+    got = plain.splitlines()
+    assert len(got) == len(fields) + len(witnesses) + len(flags)
+    assert got[: len(fields)] == lines(fields)
+    assert got[len(got) - len(flags) :] == lines(flags)
+    for line, w in zip(got[len(fields) :], witnesses):
+        label, text = line.split(": ", 1)
+        assert label in ("witness", "probe", "unresolved")
+        if "name" in w:  # a probe
+            value = w["lo"] if w["lo"] == w["hi"] else f"[{w['lo']},{w['hi']}]"
+            assert text == f"{w['name']} at twist O({w['twist'][0]},{w['twist'][1]}) = {value}"
+        else:  # a failing condition at t
+            assert f"t = {w['t']}," in text and text.endswith(str(w["value"]))
+
+
+def test_summand_of_the_zero_bundle_exits_3(capsys):
+    code, out, err = run(capsys, "summand", "--scroll", "1,2", "--bundle", "0*O(0,0)")
+    assert (code, out, err) == (3, "", "error: summand detection needs a bundle of positive rank\n")
 
 
 def test_table_csv_shape(capsys):

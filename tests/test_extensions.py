@@ -8,15 +8,18 @@ exact values must always land inside; chi must match exactly.
 
 import copy
 import gc
+import json
 import pickle
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from scrollcalc import (
     DivisorClass,
+    EmptyBundle,
     Ext,
     IntervalCohom,
     P1Sum,
@@ -49,6 +52,8 @@ from scrollcalc import cohomology, extensions, regularity, splitting
 from scrollcalc.extensions import extension_cohomology_stream
 
 from conftest import TEST_SCROLLS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 scrolls = st.sampled_from(TEST_SCROLLS)
 divisors = st.builds(
@@ -359,6 +364,58 @@ def test_forced_twist_checks_every_leaf(monkeypatch):
     monkeypatch.setattr(cohomology, "_line_cohomology", corrupt((1, -1, 0)))
     with pytest.raises(ValueError, match=r"^degree 2: need 0 <= lo <= hi$"):
         extension_cohomology(s, Ext(line_bundle(0, -2), line_bundle(0, 0)))
+
+
+def test_lone_sum_checks_its_leaf_at_a_forced_twist(monkeypatch):
+    # a lone Sum takes the same path as every tree: at twist 0 on S(1,2)
+    # O(0,0) has h^1 = 0, so the twist is forced, and its lookup
+    # corrupted to h2 = -5 fails the leaf check there, in the kernel
+    # itself, before any IntervalCohom is built
+    s = Scroll(1, 2)
+    real = cohomology._line_cohomology
+    monkeypatch.setattr(
+        cohomology, "_line_cohomology", lambda a0, a1, h, f: (0, 0, -5) if (h, f) == (0, 0) else real(a0, a1, h, f)
+    )
+    with pytest.raises(ValueError, match=r"^degree 2: need 0 <= lo <= hi$"):
+        extensions._walk(s, extensions._compile(line_bundle(0, 0)), (ZERO,))
+
+
+def test_stream_checks_each_value_once(monkeypatch):
+    # the 40-node chain of the table golden over its 16 x 16 rectangle:
+    # the walk's own checks pass every cell (its forced twists check
+    # their leaves only when a value is negative), and wrapping a value
+    # in IntervalCohom does not check it again
+    _, scroll, bundle, twists = json.loads((GOLDEN / "table_ext_16x16.json").read_text())[0]["argv"]
+    assert (scroll, twists) == ("--scroll=1,2", "--twists=-8:7,-8:7")
+    s, b = Scroll(1, 2), parse_bundle_spec(bundle.removeprefix("--bundle="))
+    rectangle = twist_rectangle((-8, 7), (-8, 7))
+    calls = []
+    real = extensions._check_interval
+    monkeypatch.setattr(extensions, "_check_interval", lambda *v: calls.append(v) or real(*v))
+    got = list(extension_cohomology_stream(s, b, rectangle))
+    assert len(got) == 256 and all(type(iv) is IntervalCohom for _, iv in got)
+    assert calls == []
+    # built directly, an IntervalCohom still checks its fields
+    with pytest.raises(ValueError, match=r"^degree 1: need 0 <= lo <= hi$"):
+        IntervalCohom(0, 0, 2, 1, 0, 0, -1)
+    assert len(calls) == 1
+
+
+ZERO_BUNDLE_MESSAGES = {
+    reg: "Reg of the zero bundle is not defined",
+    decide_split_tH: "splitting criteria need a bundle of positive rank",
+    decide_split_acm3: "splitting criteria need a bundle of positive rank",
+    is_acm: "the ACM test needs a bundle of positive rank",
+    is_ulrich: "the Ulrich test needs a bundle of positive rank",
+    detect_line_summand: "summand detection needs a bundle of positive rank",
+}
+
+
+@pytest.mark.parametrize("decide", list(ZERO_BUNDLE_MESSAGES), ids=lambda d: d.__name__)
+@pytest.mark.parametrize("zero", [bundle_sum(), Ext(bundle_sum(), bundle_sum())], ids=["sum", "ext"])
+def test_decisions_reject_the_zero_bundle(decide, zero):
+    with pytest.raises(EmptyBundle, match=f"^{ZERO_BUNDLE_MESSAGES[decide]}$"):
+        decide(Scroll(1, 2), zero)
 
 
 def test_probe_plans_take_one_walk(walks):
