@@ -33,20 +33,23 @@ forced (below).  `extension_cohomology_stream` is the batch API: it
 compiles once and walks BATCH_BOUND twists at a time.
 `extension_cohomology` compiles and walks for one twist.
 
-A twist where every distinct Sum has h^1 = 0 is forced, and `_walk`
-answers it as the direct sum without running the program: H^1 of every
-node is then 0 (it sits between H^1 of its sub and quot), so each long
-exact sequence splits into 0 -> H^i(sub) -> H^i(E) -> H^i(quot) -> 0
-for i = 0, 2, and every member of the class has the direct sum's
-cohomology, which the bounds above also give.  At a forced twist every
-Sum value is checked against the `IntervalCohom` invariants of
+In a tree with an Ext node, a twist where every distinct Sum has
+h^1 = 0 is forced, and `_walk` answers it as the direct sum without
+running the program: H^1 of every node is then 0 (it sits between H^1
+of its sub and quot), so each long exact sequence splits into
+0 -> H^i(sub) -> H^i(E) -> H^i(quot) -> 0 for i = 0, 2, and every
+member of the class has the direct sum's cohomology.
+
+Values are checked against the `IntervalCohom` invariants of
 `_check_interval` (0 <= lo_i <= hi_i, chi inside the alternating-sum
-range); valid Sum values make every node exact and valid.  At every
-other twist every Ext node, not just the root, is checked, while a
-Sum's own value there is its exact cohomology, summed from the line
-cohomology of its classes.  A failure raises through `_check_interval`.
-`extension_cohomology` and `extension_cohomology_stream` wrap the values
-of `_walk` in `IntervalCohom` without checking them a second time; an
+range) once, at the leaves: each Sum value where it is summed.  Being
+exact, it fails only through a negative entry.  What is built from
+valid values needs no check: each clamped term above is at most the
+matching child's hi; chi stays in range because
+max(lo_0(quot) - hi_1(sub), 0) + max(lo_2(sub) - hi_1(quot), 0) is at
+most lo_2(sub) + lo_0(quot), and lo_1 at most lo_1(sub) + lo_1(quot);
+and a counts-weighted direct sum of valid exact values is valid.  The
+API wraps values in `IntervalCohom` without checking them again; an
 `IntervalCohom` built directly checks its fields.
 
 Every decision procedure in the package (regularity, splitting, ACM,
@@ -266,17 +269,13 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
     """The interval kernel: one run of a compiled tree for a batch of twists.
 
     Each distinct Sum is evaluated exactly, once per twist, from the
-    cached line cohomology of its classes.  A twist where every distinct
-    Sum has h^1 = 0 is forced: there each long exact sequence splits
-    into short exact sequences in H^0 and H^2, so every member of the
-    class has the direct sum's cohomology.  It is answered as the direct
-    sum, with each Sum counted as often as it occurs in the tree, and
-    each of its Sum values must pass `_check_interval`.  The remaining
-    twists run the program, every node carrying one plain (lo0, hi0,
-    lo1, hi1, lo2, hi2, chi) tuple per twist: an Ext node combines its
-    children twist by twist through the long exact sequence bounds of
-    the module docstring, and each combined value must pass
-    `_check_interval`.  Values come back in the order of `twists`.
+    cached line cohomology of its classes, and checked there; forced
+    twists take the direct sum.  The remaining twists run the program,
+    every node carrying one plain (lo0, hi0, lo1, hi1, lo2, hi2, chi)
+    tuple per twist: an Ext node combines its children twist by twist
+    through the long exact sequence bounds.  Both steps keep the
+    invariants (module docstring).  Values come back in the order of
+    `twists`.
     """
     sums, ops, counts = program
     a0, a1 = s.a0, s.a1
@@ -285,12 +284,12 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
     # is the one called
     line = cohomology._line_cohomology
     m = len(sums)
+    lone = len(ops) == 1  # no combine for the forced shortcut to skip
     # the exact value of each Sum, m to a twist, at each twist not forced
     flat = []
     forced = []  # (position in twists, direct-sum value)
     for th, tf in twists:
-        # nonzero once some Sum has h^1 != 0, negative included
-        h1s = 0
+        h1s = 0  # nonzero once some Sum has h^1 > 0
         for terms in sums:
             h0 = h1 = h2 = 0
             for (h, f), n in terms:
@@ -298,15 +297,16 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
                 h0 += n * l0
                 h1 += n * l1
                 h2 += n * l2
-            h1s |= h1
             # exact, so lo = hi and chi is the alternating sum
-            flat.append((h0, h0, h1, h1, h2, h2, h0 - h1 + h2))
-        if h1s:
+            v = (h0, h0, h1, h1, h2, h2, h0 - h1 + h2)
+            if (h0 | h1 | h2) < 0:
+                _check_interval(*v)
+            h1s |= h1
+            flat.append(v)
+        if h1s or lone:
             continue
         t0 = t2 = 0
         for v, n in zip(flat[-m:], counts):
-            if v[0] < 0 or v[4] < 0:
-                _check_interval(*v)
             t0 += n * v[0]
             t2 += n * v[4]
         del flat[-m:]
@@ -332,17 +332,7 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
             lo1 = (lo1 if lo1 > 0 else 0) + (lo1b if lo1b > 0 else 0)
             lo2 = sl2 - qh1
             lo2 = lo2 + ql2 if lo2 > 0 else ql2
-            hi0, hi1, hi2, chi = sh0 + qh0, sh1 + qh1, sh2 + qh2, schi + qchi
-            # the condition of _check_interval, inlined; a failure
-            # raises through it, with its message
-            if not (
-                0 <= lo0 <= hi0
-                and 0 <= lo1 <= hi1
-                and 0 <= lo2 <= hi2
-                and lo0 - hi1 + lo2 <= chi <= hi0 - lo1 + hi2
-            ):
-                _check_interval(lo0, hi0, lo1, hi1, lo2, hi2, chi)
-            combined.append((lo0, hi0, lo1, hi1, lo2, hi2, chi))
+            combined.append((lo0, sh0 + qh0, lo1, sh1 + qh1, lo2, sh2 + qh2, schi + qchi))
         values.append(combined)
     out = values[0]
     # in increasing position, so each lands where it belongs

@@ -163,12 +163,10 @@ def is_acm(s: Scroll, b) -> ProbeVerdict:
     return _scan(s, _nonzero(b, "the ACM test needs a bundle of positive rank"), (("h1(E(tH))", 0),))
 
 
-def _ulrich_probe_plan() -> tuple[tuple[str, DivisorClass, int], ...]:
-    plan = []
-    for k, label in ((-1, "-H"), (-2, "-2H")):
-        for i in range(3):
-            plan.append((f"h{i}(E({label}))", DivisorClass(k, 0), i))
-    return tuple(plan)
+# is_ulrich's six (name, twist, degree) probes
+_ULRICH_PLAN = tuple(
+    (f"h{i}(E({label}))", DivisorClass(k, 0), i) for k, label in ((-1, "-H"), (-2, "-2H")) for i in range(3)
+)
 
 
 def is_ulrich(s: Scroll, b) -> ProbeVerdict:
@@ -179,7 +177,7 @@ def is_ulrich(s: Scroll, b) -> ProbeVerdict:
     one only the unresolved.
     """
     b = _nonzero(b, "the Ulrich test needs a bundle of positive rank")
-    probes = _evaluator(s, b).read(_ulrich_probe_plan())
+    probes = _evaluator(s, b).read(_ULRICH_PLAN)
     judged = _judge(probes)
     return judged if judged.verdict is Verdict.INDETERMINATE else judged._replace(probes=probes)
 

@@ -8,11 +8,13 @@ exact values must always land inside; chi must match exactly.
 
 import copy
 import gc
+import itertools
 import json
 import pickle
 import random
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
@@ -248,33 +250,86 @@ def test_ext_rank_and_leaves(s, sub, quot):
     assert sorted(e.leaves()) == sorted(sub.leaves() + quot.leaves())
 
 
+def reference_combine(sub, quot):
+    """The module-docstring bounds of one Ext node from its sub's and
+    quot's ((lo_0, lo_1, lo_2), (hi_0, hi_1, hi_2), chi), written out per
+    degree with the out-of-range degrees dropped."""
+    (slo, shi, schi), (qlo, qhi, qchi) = sub, quot
+    lo = (
+        slo[0] + max(qlo[0] - shi[1], 0),
+        max(slo[1] - qhi[0], 0) + max(qlo[1] - shi[2], 0),
+        max(slo[2] - qhi[1], 0) + qlo[2],
+    )
+    return lo, (shi[0] + qhi[0], shi[1] + qhi[1], shi[2] + qhi[2]), schi + qchi
+
+
 def reference_cohomology(s, b, t):
     """The module-docstring bounds, evaluated recursively from the leaves'
-    line cohomology: ([lo_0, lo_1, lo_2], [hi_0, hi_1, hi_2], chi)."""
+    line cohomology: ((lo_0, lo_1, lo_2), (hi_0, hi_1, hi_2), chi)."""
     if isinstance(b, Sum):
-        h = [sum(line_cohomology(s, d + t).as_tuple()[i] for d in b.leaves()) for i in range(3)]
+        h = tuple(sum(line_cohomology(s, d + t).as_tuple()[i] for d in b.leaves()) for i in range(3))
         return h, h, h[0] - h[1] + h[2]
-    slo, shi, schi = reference_cohomology(s, b.sub, t)
-    qlo, qhi, qchi = reference_cohomology(s, b.quot, t)
+    return reference_combine(reference_cohomology(s, b.sub, t), reference_cohomology(s, b.quot, t))
 
-    def at(v, i):
-        return v[i] if 0 <= i <= 2 else 0
 
-    lo = [max(at(slo, i) - at(qhi, i - 1), 0) + max(at(qlo, i) - at(shi, i + 1), 0) for i in range(3)]
-    hi = [shi[i] + qhi[i] for i in range(3)]
-    return lo, hi, schi + qchi
+def as_reference(iv):
+    return (iv.lo0, iv.lo1, iv.lo2), (iv.hi0, iv.hi1, iv.hi2), iv.chi
 
 
 @seed(20260301)
 @settings(max_examples=200, deadline=None)
 @given(scrolls, exprs(5), divisors)
 def test_kernel_matches_recursive_reference(s, b, t):
-    iv = extension_cohomology(s, b, t)
-    assert ([iv.lo(i) for i in range(3)], [iv.hi(i) for i in range(3)], iv.chi) == reference_cohomology(s, b, t)
+    assert as_reference(extension_cohomology(s, b, t)) == reference_cohomology(s, b, t)
 
 
-def as_reference(iv):
-    return [iv.lo(i) for i in range(3)], [iv.hi(i) for i in range(3)], iv.chi
+def test_combine_keeps_the_invariants():
+    # every valid value with lo_i, hi_i in 0..2 (chi anywhere in its
+    # range: 648 of them), combined as sub and as quot with every other,
+    # 419,904 pairs: the walk checks only Sum values because of this
+    valid = []
+    for lo0, hi0, lo1, hi1, lo2, hi2 in itertools.product(range(3), repeat=6):
+        if lo0 <= hi0 and lo1 <= hi1 and lo2 <= hi2:
+            for chi in range(lo0 - hi1 + lo2, hi0 - lo1 + hi2 + 1):
+                valid.append(((lo0, lo1, lo2), (hi0, hi1, hi2), chi))
+    assert len(valid) == 648
+    combined = {reference_combine(sub, quot) for sub in valid for quot in valid}
+    for (lo0, lo1, lo2), (hi0, hi1, hi2), chi in combined:
+        IntervalCohom(lo0, hi0, lo1, hi1, lo2, hi2, chi)
+
+
+# twists in two bands: leaves looked up from the second have h^1 = 0,
+# so its twists are forced
+FORCED_BAND = 40
+banded_twists = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(-3, 3), st.booleans()).map(
+        lambda x: DivisorClass(x[0] + FORCED_BAND * x[2], x[1])
+    ),
+    min_size=2,
+    max_size=12,
+)
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None)
+@given(scrolls, exprs(5), banded_twists, st.data())
+def test_walk_keeps_the_invariants_from_any_leaf_values(s, b, twists, data):
+    # any nonnegative line cohomology, drawn per class looked up, gives
+    # valid values at forced and unforced twists of one batch alike
+    drawn = {}
+
+    def line(a0, a1, h, f):
+        if (h, f) not in drawn:
+            h0, h1, h2 = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 3)))
+            drawn[h, f] = (h0, h1 if h < FORCED_BAND // 2 else 0, h2)
+        return drawn[h, f]
+
+    with mock.patch.object(cohomology, "_line_cohomology", line):
+        got = [v for _, v in extension_cohomology_stream(s, b, twists)]
+    unforced = [t for t in twists if any(drawn[d.h + t.h, d.f + t.f][1] for d in b.leaves())]
+    assume(0 < len(unforced) < len(twists))
+    for v in got:
+        IntervalCohom(*v)
 
 
 @seed(20260304)
@@ -295,9 +350,9 @@ def test_batch_of_no_twists_is_empty():
 def test_batch_checks_every_node_at_every_twist(monkeypatch):
     # a leaf value that breaks 0 <= lo at the third of five twists only,
     # put where the kernel looks its leaves up: O(1,0) twisted by
-    # O(0,2), the one lookup of (1, 2) in the batch.  The Ext node above
-    # it fails _check_interval there, with its message, while the same
-    # batch without that twist passes
+    # O(0,2), the one lookup of (1, 2) in the batch.  The Sum holding it
+    # fails _check_interval there, where it is summed, with its message,
+    # while the same batch without that twist passes
     s = Scroll(1, 2)
     b = Ext(line_bundle(0, 0), Ext(line_bundle(1, 0), line_bundle(0, 1)))
     twists = [DivisorClass(0, k) for k in range(5)]
@@ -359,18 +414,18 @@ def test_forced_twist_checks_every_leaf(monkeypatch):
     monkeypatch.setattr(cohomology, "_line_cohomology", corrupt((0, 0, -5)))
     with pytest.raises(ValueError, match=r"^degree 2: need 0 <= lo <= hi$"):
         extension_cohomology(s, b)
-    # a leaf with h^1 < 0 is never forced, not even where O(0,-2)'s
-    # h^1 = 1 cancels it in the sum, and the Ext node fails the check
+    # a leaf with h^1 < 0 fails where it is summed, in degree 1, before
+    # the twist is judged forced or the Ext node above it is combined
     monkeypatch.setattr(cohomology, "_line_cohomology", corrupt((1, -1, 0)))
-    with pytest.raises(ValueError, match=r"^degree 2: need 0 <= lo <= hi$"):
+    with pytest.raises(ValueError, match=r"^degree 1: need 0 <= lo <= hi$"):
         extension_cohomology(s, Ext(line_bundle(0, -2), line_bundle(0, 0)))
 
 
 def test_lone_sum_checks_its_leaf_at_a_forced_twist(monkeypatch):
-    # a lone Sum takes the same path as every tree: at twist 0 on S(1,2)
-    # O(0,0) has h^1 = 0, so the twist is forced, and its lookup
-    # corrupted to h2 = -5 fails the leaf check there, in the kernel
-    # itself, before any IntervalCohom is built
+    # a lone Sum is checked where it is summed, like every Sum: at twist
+    # 0 on S(1,2) O(0,0) has h^1 = 0, where a tree would be forced, and
+    # its lookup corrupted to h2 = -5 fails the check there, in the
+    # kernel itself, before any IntervalCohom is built
     s = Scroll(1, 2)
     real = cohomology._line_cohomology
     monkeypatch.setattr(
@@ -380,11 +435,26 @@ def test_lone_sum_checks_its_leaf_at_a_forced_twist(monkeypatch):
         extensions._walk(s, extensions._compile(line_bundle(0, 0)), (ZERO,))
 
 
+def test_lone_sum_checks_its_leaf_at_an_unforced_twist(monkeypatch):
+    # a lookup of O(0,0) corrupted to h^1 = -1 leaves the twist unforced,
+    # and a lone Sum has no Ext node: the check where it is summed
+    # catches it, in both APIs
+    s, b = Scroll(1, 2), line_bundle(0, 0)
+    real = cohomology._line_cohomology
+    monkeypatch.setattr(
+        cohomology, "_line_cohomology", lambda a0, a1, h, f: (0, -1, 0) if (h, f) == (0, 0) else real(a0, a1, h, f)
+    )
+    with pytest.raises(ValueError, match=r"^degree 1: need 0 <= lo <= hi$"):
+        extension_cohomology(s, b)
+    with pytest.raises(ValueError, match=r"^degree 1: need 0 <= lo <= hi$"):
+        list(extension_cohomology_stream(s, b, (ZERO,)))
+
+
 def test_stream_checks_each_value_once(monkeypatch):
     # the 40-node chain of the table golden over its 16 x 16 rectangle:
-    # the walk's own checks pass every cell (its forced twists check
-    # their leaves only when a value is negative), and wrapping a value
-    # in IntervalCohom does not check it again
+    # no Sum value is negative, so the walk, which checks a Sum value
+    # only when it has a negative entry, calls _check_interval for none,
+    # and wrapping a value in IntervalCohom does not check it again
     _, scroll, bundle, twists = json.loads((GOLDEN / "table_ext_16x16.json").read_text())[0]["argv"]
     assert (scroll, twists) == ("--scroll=1,2", "--twists=-8:7,-8:7")
     s, b = Scroll(1, 2), parse_bundle_spec(bundle.removeprefix("--bundle="))
@@ -447,7 +517,7 @@ def test_probe_plans_match_single_twists():
     b = Ext(line_bundle(-2, 3), Ext(line_bundle(1, -1), line_bundle(0, 2)))
     plans = (
         (is_pp_regular(s, b, 1, 0).probes, regularity._probe_plan(s, 1, 0), ZERO),
-        (is_ulrich(s, b).probes, splitting._ulrich_probe_plan(), ZERO),
+        (is_ulrich(s, b).probes, splitting._ULRICH_PLAN, ZERO),
     )
     for probes, plan, base in plans:
         assert len(probes) == len(plan)
