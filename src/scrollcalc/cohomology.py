@@ -159,8 +159,9 @@ def euler_rr(s: Scroll, d: DivisorClass) -> int:
     return 1 + prod // 2
 
 
-def h1_violating_h_twists(s: Scroll, d: DivisorClass) -> tuple[tuple[int, int], ...]:
-    """Closed intervals of t with h^1(O((d.h + t)H + d.f f)) != 0.
+def h1_violating_h_twists(s: Scroll, d: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """Closed intervals of t with h^1(O((h + t)H + f f)) != 0, where
+    d = (h, f) is a class or a plain pair.
 
     Only the minimal degree in the direct image matters, so h^1(O(hH+ff))
     is nonzero exactly when
@@ -168,17 +169,18 @@ def h1_violating_h_twists(s: Scroll, d: DivisorClass) -> tuple[tuple[int, int], 
     * h >= 0 and h*a0 + f <= -2, or
     * h <= -2 and f >= (-h - 2)*a0 + c;
 
-    never for h = -1.  Each branch contributes at most one finite
-    interval, so conditions of the shape "h^1 vanishes for every twist
-    t" reduce to finitely many explicit checks.
+    never for h = -1.  The first needs f <= -2 and the second f >= c, so
+    at most one finite interval comes out, and conditions of the shape
+    "h^1 vanishes for every twist t" reduce to finitely many checks.
     """
-    out = []
-    top = (-2 - d.f) // s.a0 - d.h
-    if top >= -d.h:
-        out.append((-d.h, top))
-    if d.f >= s.c:
-        out.append((-d.h - 2 - (d.f - s.c) // s.a0, -d.h - 2))
-    return tuple(out)
+    h, f = d
+    a0 = s.a0
+    if f <= -2:
+        return ((-h, (-2 - f) // a0 - h),)
+    c = a0 + s.a1
+    if f >= c:
+        return ((-h - 2 - (f - c) // a0, -h - 2),)
+    return ()
 
 
 def restricted_cohomology(

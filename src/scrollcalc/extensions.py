@@ -60,15 +60,16 @@ class; otherwise TRUE when every hi is 0, which certifies every member;
 otherwise INDETERMINATE, with the probes whose hi > 0.  `INDETERMINATE`
 is an ordinary outcome, not an error.  There is one `_Evaluator` per
 expression and scroll, kept on the expression by `_evaluator` and
-living as long as it.  Every decision on the expression reads through
-it: the tree is compiled once, (name, twist, degree) plan entries turn
-into probes in plan order, and each twist walked is remembered, so no
-twist is walked twice, within a decision or across decisions.  A fixed
-plan, such as regularity's three probes, reg's three or six or Ulrich's
-six, is read in one walk at its twists not walked before.  A lazy scan
-is read in batches of 1, 2, 4, ... entries, capped at BATCH_BOUND
-(256), each batch one walk: a scan that stops at its k-th probe has
-evaluated at most min(2k - 1, k + 255) entries.
+living as long as it.  Every decision on it reads through one
+primitive, `read`: the tree is compiled once, (name, twist, degree)
+plan entries turn into probes in plan order, and the plan's twists not
+walked before take one walk and are remembered, so no twist is walked
+twice, within a decision or across decisions.  A fixed plan, such as
+regularity's three probes, reg's three or six or Ulrich's six, is one
+`read`; a lazy scan, `probes`, reads 1, 2, 4, ... entries at a time,
+capped at BATCH_BOUND (256), and stopping at its k-th probe has
+evaluated at most min(2k - 1, k + 255) entries.  Probes and verdicts
+are built with `tuple.__new__`, past their NamedTuple's `__new__`.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice
+from itertools import filterfalse, islice
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import cohomology
@@ -190,8 +192,12 @@ def as_bundle_expr(x) -> BundleExpr:
 def _nonzero(b, message: str) -> BundleExpr:
     """The rank-0 guard of the decisions: b as a bundle expression, or
     EmptyBundle(message) when it has no line bundle at all."""
-    b = as_bundle_expr(b)
-    if not any(node.terms for node in b.sums()):
+    if type(b) is Sum:
+        nonzero = b.terms
+    else:
+        b = as_bundle_expr(b)
+        nonzero = any(node.terms for node in b.sums())
+    if not nonzero:
         raise EmptyBundle(message)
     return b
 
@@ -239,6 +245,8 @@ _Value = tuple[int, int, int, int, int, int, int]  # (lo0, hi0, lo1, hi1, lo2, h
 # how often each distinct Sum occurs in the tree
 _Program = tuple[tuple[tuple[tuple[DivisorClass, int], ...], ...], tuple[int, ...], tuple[int, ...]]
 _COMBINE = -1
+
+_TWIST = itemgetter(1)  # of a (name, twist, degree) plan entry
 
 # twists per walk, at most: `table` walks batches of this many, and a
 # lazy scan's batches double up to it
@@ -303,7 +311,7 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
                 _check_interval(*v)
             h1s |= h1
             flat.append(v)
-        if h1s or lone:
+        if lone or h1s:
             continue
         t0 = t2 = 0
         for v, n in zip(flat[-m:], counts):
@@ -312,6 +320,8 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
         del flat[-m:]
         # the twists before this one: those left in flat, and the forced
         forced.append((len(flat) // m + len(forced), (t0, t0, 0, 0, t2, t2, t0 + t2)))
+    if lone:
+        return flat
     if not flat:
         return [v for _, v in forced]
     values: list[list[_Value]] = []
@@ -379,42 +389,44 @@ class _Evaluator:
         # f-offset -> splitting.violating_twists, read by every scan
         self.violations: dict[int, tuple[tuple[int, int], ...]] = {}
 
-    def probes(self, plan: Iterable[tuple[str, DivisorClass, int]], batch: int = 1) -> Iterator[Probe]:
-        """The (name, twist, degree) probes of a plan, lazily and in plan order.
+    def read(self, plan: Sequence[tuple[str, DivisorClass, int]]) -> tuple[Probe, ...]:
+        """The (name, twist, degree) probes of a plan, in plan order.
 
-        The plan is read `batch` entries at a time, then twice as many,
-        and so on up to BATCH_BOUND, and the twists of a batch not walked
-        before take one walk.  From the default first batch of one, a
-        reader that stops at the k-th probe has had at most
-        min(2k - 1, k + BATCH_BOUND - 1) entries evaluated.
+        The plan's twists not walked before take one walk, together.
+        """
+        values = self.values
+        # each twist once, in plan order
+        new = tuple(dict.fromkeys(filterfalse(values.__contains__, map(_TWIST, plan))))
+        if new:
+            values.update(zip(new, _walk(self.s, self.program, new)))
+        probes = []
+        for name, tw, degree in plan:
+            v = values[tw]
+            probes.append(tuple.__new__(Probe, (name, tw, v[2 * degree], v[2 * degree + 1])))
+        return tuple(probes)
+
+    def probes(self, plan: Iterable[tuple[str, DivisorClass, int]]) -> Iterator[Probe]:
+        """The probes of a plan, lazily and in plan order: `read` over
+        its first entry, then the next two, four, and so on up to
+        BATCH_BOUND.  A reader that stops at the k-th probe has had at
+        most min(2k - 1, k + BATCH_BOUND - 1) entries evaluated.
         """
         plan = iter(plan)
-        values = self.values
+        batch = 1
         while entries := tuple(islice(plan, batch)):
-            new = tuple(dict.fromkeys(tw for _, tw, _ in entries if tw not in values))
-            if new:
-                values.update(zip(new, _walk(self.s, self.program, new)))
-            for name, tw, degree in entries:
-                v = values[tw]
-                yield Probe(name, tw, v[2 * degree], v[2 * degree + 1])
+            yield from self.read(entries)
             batch = min(2 * batch, BATCH_BOUND)
 
-    def read(self, plan: Iterable[tuple[str, DivisorClass, int]]) -> tuple[Probe, ...]:
-        """Every probe of a fixed plan, from at most one walk."""
-        plan = tuple(plan)
-        return tuple(self.probes(plan, len(plan)))
 
-
-def _evaluator(s: Scroll, b) -> _Evaluator:
+def _evaluator(s: Scroll, b: BundleExpr) -> _Evaluator:
     """The evaluator of b on s, made on first use and kept in b's own
-    `__dict__` by (a0, a1): no global table, and the tree, whose hash
-    walks every node, is never hashed."""
-    b = as_bundle_expr(b)
-    evaluators = b.__dict__.setdefault("_evaluators", {})
-    key = (s.a0, s.a1)
-    if key not in evaluators:
-        evaluators[key] = _Evaluator(s, b)
-    return evaluators[key]
+    `__dict__`, keyed by the scroll: no global table, and the tree,
+    whose hash walks every node, is never hashed."""
+    try:
+        return b._evaluators[s]
+    except (AttributeError, KeyError):
+        evaluator = b.__dict__.setdefault("_evaluators", {})[s] = _Evaluator(s, b)
+        return evaluator
 
 
 def _judge(probes: Iterable[Probe]) -> ProbeVerdict:
@@ -426,12 +438,12 @@ def _judge(probes: Iterable[Probe]) -> ProbeVerdict:
     unresolved = []
     for pr in probes:
         if pr.lo > 0:
-            return ProbeVerdict(Verdict.FALSE, witness=pr)
+            return tuple.__new__(ProbeVerdict, (Verdict.FALSE, pr, ()))
         if pr.hi > 0:
             unresolved.append(pr)
     if unresolved:
-        return ProbeVerdict(Verdict.INDETERMINATE, probes=tuple(unresolved))
-    return ProbeVerdict(Verdict.TRUE)
+        return tuple.__new__(ProbeVerdict, (Verdict.INDETERMINATE, None, tuple(unresolved)))
+    return tuple.__new__(ProbeVerdict, (Verdict.TRUE, None, ()))
 
 
 def ext1_dim(s: Scroll, from_: DivisorClass, to: DivisorClass) -> int:

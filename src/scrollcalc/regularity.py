@@ -30,15 +30,16 @@ and every other decision on it share.
 
 from __future__ import annotations
 
-from .extensions import Ext, ProbeVerdict, Verdict, _evaluator, _judge, _nonzero
+from .extensions import Ext, ProbeVerdict, Verdict, _evaluator, _judge, _nonzero, as_bundle_expr
 from .scroll import DivisorClass, Scroll
 
 
 def _probe_plan(s: Scroll, p: int, pp: int) -> tuple[tuple[str, DivisorClass, int], ...]:
     """The three probes of the test on b(pH + p'f), in order."""
+    c = s.c
     return (
-        ("h2(E(-H+(c-2)f))", DivisorClass(p - 1, pp + s.c - 2), 2),
-        ("h1(E(-H+(c-1)f))", DivisorClass(p - 1, pp + s.c - 1), 1),
+        ("h2(E(-H+(c-2)f))", DivisorClass(p - 1, pp + c - 2), 2),
+        ("h1(E(-H+(c-1)f))", DivisorClass(p - 1, pp + c - 1), 1),
         ("h1(E(-f))", DivisorClass(p, pp - 1), 1),
     )
 
@@ -51,8 +52,9 @@ def is_pp_regular(s: Scroll, b, p: int = 0, pp: int = 0) -> ProbeVerdict:
     probes are evaluated and carried, in plan order.  Sum inputs always
     resolve one way or the other.
     """
-    probes = _evaluator(s, b).read(_probe_plan(s, p, pp))
-    return _judge(probes)._replace(probes=probes)
+    probes = _evaluator(s, as_bundle_expr(b)).read(_probe_plan(s, p, pp))
+    verdict, witness, _ = _judge(probes)
+    return tuple.__new__(ProbeVerdict, (verdict, witness, probes))
 
 
 def is_regular(s: Scroll, b) -> ProbeVerdict:

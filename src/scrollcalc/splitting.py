@@ -94,10 +94,11 @@ def violating_twists(s: Scroll, b: BundleExpr, offset: int) -> tuple[tuple[int, 
     is the support of the upper bound, so nothing outside it can ever be
     nonzero.
     """
-    shift = DivisorClass(0, offset)
-    leaf_intervals = sorted(
-        iv for node in b.sums() for d, _ in node.terms for iv in h1_violating_h_twists(s, d + shift)
-    )
+    leaf_intervals: list[tuple[int, int]] = []
+    for node in b.sums():
+        for (h, f), _ in node.terms:
+            leaf_intervals += h1_violating_h_twists(s, (h, f + offset))
+    leaf_intervals.sort()
     merged: list[tuple[int, int]] = []
     for lo, hi in leaf_intervals:
         if merged and lo <= merged[-1][1] + 1:
@@ -127,7 +128,7 @@ def _scan(s: Scroll, b: BundleExpr, families: tuple[tuple[str, int], ...]) -> Pr
                 violations[offset] = violating_twists(s, b, offset)
             for lo, hi in violations[offset]:
                 for t in range(lo, hi + 1):
-                    yield name, DivisorClass(t, offset), 1
+                    yield name, tuple.__new__(DivisorClass, (t, offset)), 1
 
     return _judge(evaluator.probes(plan()))
 
@@ -178,8 +179,9 @@ def is_ulrich(s: Scroll, b) -> ProbeVerdict:
     """
     b = _nonzero(b, "the Ulrich test needs a bundle of positive rank")
     probes = _evaluator(s, b).read(_ULRICH_PLAN)
-    judged = _judge(probes)
-    return judged if judged.verdict is Verdict.INDETERMINATE else judged._replace(probes=probes)
+    verdict, witness, unresolved = _judge(probes)
+    carried = unresolved if verdict is Verdict.INDETERMINATE else probes
+    return tuple.__new__(ProbeVerdict, (verdict, witness, carried))
 
 
 def make_ulrich(s: Scroll, a: int, b: int) -> BundleExpr:

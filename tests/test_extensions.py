@@ -25,8 +25,11 @@ from scrollcalc import (
     Ext,
     IntervalCohom,
     P1Sum,
+    Probe,
+    ProbeVerdict,
     Scroll,
     Sum,
+    SummandVerdict,
     Verdict,
     ZERO,
     as_bundle_expr,
@@ -525,6 +528,141 @@ def test_probe_plans_match_single_twists():
             iv = extension_cohomology(s, b, base + shift)
             assert (probe.name, probe.twist) == (name, base + shift)
             assert (probe.lo, probe.hi) == (iv.lo(degree), iv.hi(degree))
+
+
+def reference_probes(s, b, plan):
+    """Each (name, twist, degree) entry of a plan read from
+    extension_cohomology at its twist alone."""
+    probes = []
+    for name, (h, f), degree in plan:
+        twist = DivisorClass(h, f)
+        iv = extension_cohomology(s, b, twist)
+        probes.append(Probe(name, twist, iv.lo(degree), iv.hi(degree)))
+    return tuple(probes)
+
+
+def reference_rule(probes):
+    """The module docstring's vanishing rule: the verdict, the first
+    probe with lo > 0 and the probes with hi > 0."""
+    witness = next((pr for pr in probes if pr.lo > 0), None)
+    if witness is not None:
+        return Verdict.FALSE, witness, ()
+    unresolved = tuple(pr for pr in probes if pr.hi > 0)
+    return (Verdict.INDETERMINATE if unresolved else Verdict.TRUE), None, unresolved
+
+
+def reference_pp_regular(s, b, p, pp):
+    # the three probes of the regularity module docstring on b(pH + p'f),
+    # all carried, whatever the verdict
+    plan = (
+        ("h2(E(-H+(c-2)f))", (p - 1, pp + s.c - 2), 2),
+        ("h1(E(-H+(c-1)f))", (p - 1, pp + s.c - 1), 1),
+        ("h1(E(-f))", (p, pp - 1), 1),
+    )
+    probes = reference_probes(s, b, plan)
+    verdict, witness, _ = reference_rule(probes)
+    return ProbeVerdict(verdict, witness, probes)
+
+
+def reference_ulrich(s, b):
+    # h^i(b(-H)) and h^i(b(-2H)); INDETERMINATE carries the unresolved
+    plan = [(f"h{i}(E({label}))", (k, 0), i) for k, label in ((-1, "-H"), (-2, "-2H")) for i in range(3)]
+    probes = reference_probes(s, b, plan)
+    verdict, witness, unresolved = reference_rule(probes)
+    return ProbeVerdict(verdict, witness, unresolved if verdict is Verdict.INDETERMINATE else probes)
+
+
+def reference_summand(s, b):
+    # the three causes of detect_line_summand's docstring, in order, each
+    # with the summand it certifies and its auxiliary vanishings
+    c, a0, a1 = s.c, s.a0, s.a1
+    cases = (
+        ("h2(E(-2H+(c-2)f))", (-2, c - 2), 2, (0, 0), ()),
+        ("h1(E(-2H+(c-1)f))", (-2, c - 1), 1, (0, 1), (
+            ("h1(E(-H+(a0-1)f))", (-1, a0 - 1), 1),
+            ("h1(E(-H+(a1-1)f))", (-1, a1 - 1), 1),
+            ("h1(E(-2H+(c-2)f))", (-2, c - 2), 1),
+        )),
+        ("h1(E(-H-f))", (-1, -1), 1, (1, -1), (
+            ("h1(E(-H))", (-1, 0), 1),
+            ("h1(E(-2H+(a1-1)f))", (-2, a1 - 1), 1),
+            ("h1(E(-2H+(a0-1)f))", (-2, a0 - 1), 1),
+        )),
+    )
+    inconclusive = []
+    for name, twist, degree, summand, auxiliaries in cases:
+        (cause,) = reference_probes(s, b, ((name, twist, degree),))
+        if cause.hi == 0:
+            continue
+        if cause.lo == 0:
+            inconclusive.append(cause)
+            continue
+        aux = reference_probes(s, b, auxiliaries)
+        if all(pr.hi == 0 for pr in aux):
+            return SummandVerdict(Verdict.TRUE, DivisorClass(*summand), cause, aux)
+        inconclusive += [cause, *(pr for pr in aux if pr.hi > 0)]
+    return SummandVerdict(Verdict.INDETERMINATE if inconclusive else Verdict.FALSE, probes=tuple(inconclusive))
+
+
+def same_record(got, want):
+    """Equal, and built of the same types: the record, its witness and
+    every probe it carries."""
+    assert got == want
+    assert type(got) is type(want)
+    for field, value in zip(want._fields, want):
+        if isinstance(value, tuple) and field == "probes":
+            assert [type(pr) for pr in getattr(got, field)] == [type(pr) for pr in value]
+        else:
+            assert type(getattr(got, field)) is type(value), field
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(scrolls, exprs(4), st.integers(-3, 3), st.integers(-3, 3))
+def test_fixed_plans_match_single_twist_reference(s, b, p, pp):
+    # the fixed-plan decisions give the whole record the reference reads
+    # twist by twist: verdict, witness, probes and summand
+    same_record(is_pp_regular(s, b, p, pp), reference_pp_regular(s, b, p, pp))
+    same_record(is_ulrich(s, b), reference_ulrich(s, b))
+    if is_regular(s, b).verdict is Verdict.TRUE:
+        same_record(detect_line_summand(s, b), reference_summand(s, b))
+
+
+@pytest.mark.parametrize(
+    "spec, walked",
+    [
+        # regular: reg at r = 0 reads is_regular's plan; the summand's
+        # second cause and its auxiliaries come from earlier walks
+        (
+            "O(0,1) + O(1,-1) + O(2,-2)",
+            [[(-1, 1), (-1, 2), (0, -1)], [(-2, 0)], [(-1, 0)], [(-2, 2)], [(-2, 1)]],
+        ),
+        # not regular: reg at r = 1, then is_regular's three twists at p = 0
+        (
+            "O(0,0) + O(1,-1) + 2*O(2,-3)",
+            [[(0, 1), (0, 2), (1, -1)], [(-2, 0)], [(-1, 0)], [(-2, -1)], [(-1, 1), (-1, 2), (0, -1)]],
+        ),
+    ],
+    ids=["regular", "not-regular"],
+)
+def test_direct_sum_session_walks(walks, monkeypatch, spec, walked):
+    # the benchmark's decide-corpus session on one direct sum: every
+    # decision reads through the one evaluator, a Sum's scan stops at its
+    # first violating twist, and no twist is walked twice
+    s = Scroll(1, 2)
+    b = parse_bundle_spec(spec)
+    twists = []
+    counting = extensions._walk
+    monkeypatch.setattr(extensions, "_walk", lambda s, program, tw: twists.append(list(tw)) or counting(s, program, tw))
+    reg(s, b)
+    is_acm(s, b)
+    is_ulrich(s, b)
+    decide_split_tH(s, b)
+    decide_split_acm3(s, b)
+    if is_regular(s, b).verdict is Verdict.TRUE:
+        detect_line_summand(s, b)
+    assert walks == [len(w) for w in walked]
+    assert twists == walked
 
 
 @seed(20260302)
