@@ -609,11 +609,11 @@ def same_record(got, want):
     every probe it carries."""
     assert got == want
     assert type(got) is type(want)
-    for field, value in zip(want._fields, want):
-        if isinstance(value, tuple) and field == "probes":
-            assert [type(pr) for pr in getattr(got, field)] == [type(pr) for pr in value]
+    for field, g, w in zip(want._fields, got, want):
+        if field == "probes":
+            assert [type(pr) for pr in g] == [type(pr) for pr in w]
         else:
-            assert type(getattr(got, field)) is type(value), field
+            assert type(g) is type(w), field
 
 
 @seed(20261019)
