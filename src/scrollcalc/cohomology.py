@@ -86,12 +86,17 @@ class Sum:
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, terms: tuple[tuple[DivisorClass, int], ...] = ()) -> None:
-        counts: dict[DivisorClass, int] = {}
-        for d, n in terms:
-            if n < 0:
-                raise NegativeCount(f"a direct sum cannot hold {n} copies of {d}")
-            counts[d] = counts.get(d, 0) + n
-        object.__setattr__(self, "terms", tuple(sorted((d, n) for d, n in counts.items() if n)))
+        if type(terms) is tuple and len(terms) == 1 and type(terms[0][1]) is int and terms[0][1] > 0:
+            ((d, n),) = terms  # one positive count: sorted, merged and nonzero
+            terms = ((d, n),)
+        else:
+            counts: dict[DivisorClass, int] = {}
+            for d, n in terms:
+                if n < 0:
+                    raise NegativeCount(f"a direct sum cannot hold {n} copies of {d}")
+                counts[d] = counts.get(d, 0) + n
+            terms = tuple(sorted((d, n) for d, n in counts.items() if n))
+        self.__dict__["terms"] = terms
 
     def __eq__(self, other):
         return self.terms == other.terms if type(other) is Sum else NotImplemented

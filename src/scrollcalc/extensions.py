@@ -129,8 +129,7 @@ class Ext:
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, sub: BundleExpr, quot: BundleExpr) -> None:
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "quot", quot)
+        self.__dict__.update(sub=sub, quot=quot)
 
     def __eq__(self, other):
         if type(other) is not Ext:

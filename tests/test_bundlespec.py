@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import reference_parser
 from scrollcalc import bundlespec
 from scrollcalc import (
     DivisorClass,
@@ -84,6 +85,13 @@ def test_mixed_plus_and_ext_folds():
         ("O(0,1\u00b2)", 5),
         # character offsets, not UTF-8 bytes: '@' is byte 8 of this text
         ("O(\u0663,0) @", 7),
+        # malformed atoms that a whole O(h,f) token only half matches
+        ("O(1 2,3)", 4),
+        ("O(+1,2)", 2),
+        ("O(- 1,2)", 2),
+        ("O(1,2)^", 7),
+        ("Oext(O(0,0);O(0,0))", 0),
+        ("-2*O(1,1)", 0),
     ],
 )
 def test_error_offsets(text, offset):
@@ -100,6 +108,19 @@ def test_non_ascii_decimal_digits_parse():
     assert format_bundle(parse_bundle_spec("O(\u0663,0)")) == "O(3,0)"
 
 
+@pytest.mark.parametrize(
+    "text,canonical",
+    [
+        ("O (1 , 2 )", "O(1,2)"),
+        ("ext (O(0,0); O(0,0))", "ext(O(0,0); O(0,0))"),
+        ("O(1,\u0663)", "O(1,3)"),
+        ("2 * O(1,1)", "2*O(1,1)"),
+    ],
+)
+def test_whole_tokens_with_whitespace_or_unicode_digits_parse(text, canonical):
+    assert normalize(text) == canonical
+
+
 NESTED_201 = "ext(" * 201 + "O(0,0)" + "; O(0,0))" * 201
 
 
@@ -114,8 +135,17 @@ NESTED_201 = "ext(" * 201 + "O(0,0)" + "; O(0,0))" * 201
         ("Q(1,2)", "expected 'O' or 'ext', found 'Q'", 0, ("O", "ext")),
         (NESTED_201, "ext(...) nested deeper than 200 levels", 800, ("O",)),
         ("O(1,2) trailing", "trailing input 'trailing'", 7, ("+", "end")),
+        ("O(1 2,3)", "expected ',', found '2'", 4, (",",)),
+        ("O(+1,2)", "expected 'int', found '+'", 2, ("int",)),
+        ("O(- 1,2)", "unexpected character '-'", 2, ("token",)),
+        ("O(1,2)^", "expected 'int', found 'end of input'", 7, ("int",)),
+        ("Oext(O(0,0);O(0,0))", "expected 'O' or 'ext', found 'Oext'", 0, ("O", "ext")),
+        ("-2*O(1,1)", "expected a nonnegative count, found '-2'", 0, ("nat",)),
     ],
-    ids=["character", "long-int", "token-kind", "nat", "fold", "atom", "nesting", "trailing"],
+    ids=[
+        "character", "long-int", "token-kind", "nat", "fold", "atom", "nesting", "trailing",
+        "atom-split-int", "atom-plus-sign", "atom-lone-minus", "power-at-end", "name-run", "negative-count",
+    ],
 )
 def test_each_parse_error_site(text, message, offset, expected):
     with pytest.raises(ParseError) as exc:
@@ -268,6 +298,36 @@ def test_fuzzed_text_parses_or_raises_parse_error(text):
         return
     once = format_bundle(b)
     assert normalize(once) == once
+
+
+def _outcome(parse, text):
+    try:
+        b = parse(text)
+    except ParseError as e:
+        return "error", str(e), e.offset, e.expected
+    return "tree", b, format_bundle(b)
+
+
+# decimal digits that int() reads ("\u0663") or not ("\u00b2"), spaces
+# that str.isspace() knows ("\xa0", "\x1c"), and a stray character
+_texts = st.text(st.sampled_from(list("Oext(),;+*^- 0129\n") + ["\u00b2", "\u0663", "\xa0", "\x1c", "@"]), max_size=40)
+_deep_nests = st.builds(
+    lambda n, inner, tail: "ext(" * n + inner + "; O(0,0))" * n + tail,
+    st.integers(min_value=1, max_value=260),
+    st.sampled_from(["O(0,0)", "2*O(1,-1)^3", "ext(O(0,0); O(1,1))^2", "O(0,0"]),
+    st.sampled_from(["", " + O(0,0)", ")", " @", "^ 2"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_texts, _fuzzed_specs(), _deep_nests))
+def test_parser_matches_the_per_character_reference(text):
+    # the same tree and text, or the same error, at the depth bound and
+    # at a small one
+    for depth in (200, 3):
+        with mock.patch.object(bundlespec, "MAX_EXT_DEPTH", depth):
+            with mock.patch.object(reference_parser, "MAX_EXT_DEPTH", depth):
+                assert _outcome(parse_bundle_spec, text) == _outcome(reference_parser.parse_bundle_spec, text)
 
 
 def test_overlong_integer_is_a_parse_error():

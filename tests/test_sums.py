@@ -5,10 +5,12 @@ sorted expansion of those pairs, the representation the package used
 before counts were stored, so the properties pin the counted form to it.
 """
 
+import pytest
 from hypothesis import given, strategies as st
 
 from scrollcalc import (
     DivisorClass,
+    NegativeCount,
     Scroll,
     Sum,
     Verdict,
@@ -67,6 +69,21 @@ def test_counted_sum_matches_expanded_multiset(s, pairs, t):
 def test_parser_multiplies_counts(pairs):
     text = " + ".join(f"{n}*O({d.h},{d.f})" for d, n in pairs) or "0*O(0,0)"
     assert parse_bundle_spec(text) == Sum(tuple(pairs))
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 3])
+def test_one_pair_sum_matches_the_general_path(n):
+    # a second pair of count 0 sends the same terms through the general path
+    d = DivisorClass(1, 2)
+
+    def built(terms):
+        try:
+            b = Sum(terms)
+        except NegativeCount as e:
+            return str(e)
+        return b.terms, [type(count) for _, count in b.terms]
+
+    assert built(((d, n),)) == built(((d, n), (d, 0)))
 
 
 def test_billion_copies_cost_nothing():

@@ -9,7 +9,15 @@ bytecode instruction the interpreter executes inside a query is counted
 with `sys.settrace` and `f_trace_opcodes`, and charged to the function
 whose frame runs it; C functions (builtins, `lru_cache` hits) count
 nothing.  The count is exact and repeatable, so it tells two trees apart
-where wall time is too noisy, but it weighs every opcode alike.
+where wall time is too noisy, but it weighs every opcode alike.  Work
+moved into C, such as a regular expression of `re` or a builtin, counts
+zero however long it takes, so an opcode drop is not a speed-up by
+itself: time it too.
+
+After each group's top functions come its opcodes per query by module:
+those of scrollcalc's bundlespec, extensions, splitting, regularity,
+cohomology and cli, and the rest (other scrollcalc modules, the
+benchmark's own code and the standard library) as one figure.
 
 - decide-corpus: the workload's warm blocks run untraced, then its first
   480 queries run traced, the whole of `run_decide` each (parse and
@@ -30,6 +38,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DECIDE_QUERIES = 480
 EXT_QUERIES = 60
+MODULES = ("bundlespec", "extensions", "splitting", "regularity", "cohomology", "cli")
+PACKAGE = os.path.join(ROOT, "src", "scrollcalc")
 
 
 class OpcodeCounter:
@@ -61,6 +71,14 @@ def report(title: str, queries: int, counter: OpcodeCounter, top: int) -> None:
     for code, n in counter.by_code.most_common(top):
         where = f"{os.path.basename(code.co_filename)}:{code.co_firstlineno}"
         print(f"  {n / queries:>10,.0f}  {getattr(code, 'co_qualname', code.co_name)}  {where}")
+    by_module: collections.Counter = collections.Counter()
+    for code, n in counter.by_code.items():
+        folder, name = os.path.split(os.path.abspath(code.co_filename))
+        module = name.removesuffix(".py")
+        by_module[module if folder == PACKAGE and module in MODULES else "rest"] += n
+    print("  by module:")
+    for module in MODULES + ("rest",):
+        print(f"  {by_module[module] / queries:>10,.0f}  {module}")
 
 
 def main() -> int:
