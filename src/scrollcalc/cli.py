@@ -6,10 +6,10 @@ result: the JSON object and the lines of the plain form.  `main` builds
 the scroll and the bundle, calls the handler and prints the result,
 one JSON line under `--json` and the plain lines otherwise; it is the
 only place that writes to stdout.  `table` has no JSON form: it returns
-None and a lazy iterator of CSV rows.  The Ext tree is compiled once
-per invocation and the rows stream in batches of
-`extensions.BATCH_BOUND` twists, each batch from one walk, so memory
-does not grow with the width of `--twists`.
+None and a lazy iterator of CSV text: the header, then one chunk of
+rows per batch of `extensions.BATCH_BOUND` twists, formatted from the
+values of one walk of the tree compiled once and printed by one call,
+so memory does not grow with the width of `--twists`.
 
 A handler describes its result once and `_render` writes both forms:
 the JSON envelope `{"scroll", "input", <result fields>, "witnesses",
@@ -41,7 +41,7 @@ import sys
 from .bundlespec import format_bundle, parse_bundle_spec
 from .cohomology import line_cohomology
 from .errors import ParseError, RankMismatch, ScrollCalcError
-from .extensions import Probe, Sum, Verdict, ext1_dim, extension_cohomology_stream
+from .extensions import Probe, Sum, Verdict, _batches, ext1_dim
 from .logbundles import (
     classify_regular_acm_log,
     log_splitting_type,
@@ -117,15 +117,16 @@ def _cmd_cohomology(args, s, b):
 
 
 def _cmd_table(args, s, b):
-    def rows():
+    def chunks():
         yield "tH,tf,h0,h1,h2,chi"
-        stream = extension_cohomology_stream(s, b, twist_rectangle(*args.twists))
-        for t, (lo0, hi0, lo1, hi1, lo2, hi2, chi) in stream:
-            bounds = ((lo0, hi0), (lo1, hi1), (lo2, hi2))
-            cells = ",".join(str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in bounds)
-            yield f"{t.h},{t.f},{cells},{chi}"
+        for batch, values in _batches(s, b, twist_rectangle(*args.twists)):
+            yield "\n".join(
+                f"{th},{tf},{lo0 if lo0 == hi0 else f'{lo0}..{hi0}'},{lo1 if lo1 == hi1 else f'{lo1}..{hi1}'},"
+                f"{lo2 if lo2 == hi2 else f'{lo2}..{hi2}'},{chi}"
+                for (th, tf), (lo0, hi0, lo1, hi1, lo2, hi2, chi) in zip(batch, values)
+            )
 
-    return None, rows()
+    return None, chunks()
 
 
 def _cmd_regularity(args, s, b):

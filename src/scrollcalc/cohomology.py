@@ -156,7 +156,10 @@ def sum_cohomology(s: Scroll, b: Sum, twist: DivisorClass = ZERO) -> CohomRecord
 
 def euler_rr(s: Scroll, d: DivisorClass) -> int:
     """chi(O(d)) = 1 + d.(d - K)/2, straight from the intersection form."""
-    prod = intersect(d, d - s.K, s)
+    # D.(D - K) by `scroll.intersect`'s form, with D - K = (h + 2)H + (f - c + 2)f
+    h, f = d
+    c = s.a0 + s.a1
+    prod = h * (h + 2) * c + h * (f - c + 2) + f * (h + 2)
     if prod % 2:
         # adjunction forces D.(D-K) even; reaching here means the lattice
         # data is corrupt, not that the input is unusual

@@ -18,20 +18,22 @@ separately, so in particular a degree is forced exact whenever both
 flanking groups vanish.  Euler characteristics are exact and additive
 regardless of the class.
 
-`_compile`, `rank()`, `leaves()`, `sums()` and Ext's ==, hash and repr
-read a tree through `_pieces`, which walks it from an explicit stack
-with no recursion, so its depth is bounded by memory alone.  Consumers
-read the counted `terms` of the Sum nodes that `sums()` yields; only
-`leaves()` expands multiplicities.
+`rank()`, `leaves()`, `sums()`, Ext's ==, hash and repr, and
+`format_bundle` read a tree through `_pieces`, which walks it from an
+explicit stack with no recursion, so its depth is bounded by memory
+alone; `_compile` walks the nodes from a stack of its own, without
+`_pieces`' text.  Consumers read the counted `terms` of the Sum nodes
+that `sums()` yields; only `leaves()` expands multiplicities.
 
 The interval kernel runs in two steps.  `_compile` turns a tree into a
 post-order program over its distinct Sums, deduplicated by `terms`;
 `_walk` runs that program at a batch of twists: each distinct Sum is
 evaluated once per twist, straight from the cached line cohomology of
 its classes, and every node carries one value per twist that is not
-forced (below).  `extension_cohomology_stream` is the batch API: it
-compiles once and walks BATCH_BOUND twists at a time.
-`extension_cohomology` compiles and walks for one twist.
+forced (below).  `_batches` compiles once and walks BATCH_BOUND twists
+at a time; the batch API `extension_cohomology_stream` and the CLI's
+`table` both read it.  `extension_cohomology` compiles and walks for
+one twist.
 
 In a tree with an Ext node, a twist where every distinct Sum has
 h^1 = 0 is forced, and `_walk` answers it as the direct sum without
@@ -64,11 +66,13 @@ living as long as it.  Every decision on it reads through one
 primitive, `read`: the tree is compiled once, (name, twist, degree)
 plan entries turn into probes in plan order, and the plan's twists not
 walked before take one walk and are remembered, so no twist is walked
-twice, within a decision or across decisions.  A fixed plan, such as
-regularity's three probes, reg's three or six or Ulrich's six, is one
-`read`; a lazy scan, `probes`, reads 1, 2, 4, ... entries at a time,
-capped at BATCH_BOUND (256), and stopping at its k-th probe has
-evaluated at most min(2k - 1, k + 255) entries.  Probes and verdicts
+twice, within a decision or across decisions.  It also keeps the
+tree's distinct classes, which `reg`'s bound and certificate and the
+scans' violating intervals read instead of walking the tree again.  A
+fixed plan, such as regularity's three probes, reg's three at r - 1 or
+Ulrich's six, is one `read`; a lazy scan, `probes`, reads 1, 2, 4, ...
+entries at a time, capped at BATCH_BOUND (256), and stopping at its
+k-th probe has evaluated at most min(2k - 1, k + 255) entries.  Probes and verdicts
 are built with `tuple.__new__`, past their NamedTuple's `__new__`.
 """
 
@@ -254,21 +258,25 @@ BATCH_BOUND = 256
 
 def _compile(b) -> _Program:
     """The post-order program of a bundle expression, built from an
-    explicit stack; Sums are deduplicated by `terms`."""
+    explicit stack of its nodes; Sums are deduplicated by `terms`."""
     sums: list[tuple] = []
     counts: list[int] = []
     index: dict[tuple, int] = {}  # Sum terms -> position in sums
     ops: list[int] = []
-    for piece in _pieces(as_bundle_expr(b)):
-        if isinstance(piece, Sum):
-            i = index.setdefault(piece.terms, len(sums))
+    todo = [as_bundle_expr(b)]
+    while todo:
+        node = todo.pop()
+        if node is None:  # the Ext node's sub and quot are done
+            ops.append(_COMBINE)
+        elif type(node) is Ext:
+            todo += (None, node.quot, node.sub)
+        else:
+            i = index.setdefault(node.terms, len(sums))
             if i == len(sums):
-                sums.append(piece.terms)
+                sums.append(node.terms)
                 counts.append(0)
             counts[i] += 1
             ops.append(i)
-        elif piece == ")":  # the Ext node's sub and quot are done
-            ops.append(_COMBINE)
     return tuple(sums), tuple(ops), tuple(counts)
 
 
@@ -356,16 +364,23 @@ def extension_cohomology(s: Scroll, b, twist: DivisorClass = ZERO) -> IntervalCo
     return tuple.__new__(IntervalCohom, _walk(s, _compile(b), (twist,))[0])
 
 
+def _batches(s: Scroll, b, twists: Iterable[DivisorClass]) -> Iterator[tuple[tuple, list[_Value]]]:
+    """Each batch of up to BATCH_BOUND of `twists`, in order and lazily,
+    with its values from one walk of the tree compiled once."""
+    program = _compile(b)
+    twists = iter(twists)
+    while batch := tuple(islice(twists, BATCH_BOUND)):
+        yield batch, _walk(s, program, batch)
+
+
 def extension_cohomology_stream(
     s: Scroll, b, twists: Iterable[DivisorClass]
 ) -> Iterator[tuple[DivisorClass, IntervalCohom]]:
     """Each of `twists` with the interval cohomology there, in order and
     lazily: the tree is compiled once and walked BATCH_BOUND twists at a
     time, so memory does not grow with the number of twists."""
-    program = _compile(b)
-    twists = iter(twists)
-    while batch := tuple(islice(twists, BATCH_BOUND)):
-        for twist, v in zip(batch, _walk(s, program, batch)):
+    for batch, values in _batches(s, b, twists):
+        for twist, v in zip(batch, values):
             yield twist, tuple.__new__(IntervalCohom, v)
 
 
@@ -384,6 +399,8 @@ class _Evaluator:
     def __init__(self, s: Scroll, b):
         self.s = s
         self.program = _compile(b)
+        # the tree's distinct line-bundle classes, in tree order
+        self.classes = tuple(dict.fromkeys(d for terms in self.program[0] for d, _ in terms))
         self.values: dict[DivisorClass, _Value] = {}
         # f-offset -> splitting.violating_twists, read by every scan
         self.violations: dict[int, tuple[tuple[int, int], ...]] = {}

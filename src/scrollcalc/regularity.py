@@ -23,14 +23,15 @@ is regular: exactly for p >= r = max line_bundle_reg over the leaves.
 An upward scan therefore first meets TRUE at r.  It returns r unless
 the verdict just below, at r - 1, is INDETERMINATE; a FALSE there
 certifies that no member of the class is regular at r - 1.  `reg`
-reads the probes at r and, for an Ext, at r - 1 in one walk of the
-tree, through the expression's one evaluator, which `is_pp_regular`
-and every other decision on it share.
+checks the certificate at r on the tree's distinct classes, with no
+walk, and for an Ext reads the probes at r - 1 in one walk, through
+the expression's one evaluator, which every decision on it shares.
 """
 
 from __future__ import annotations
 
-from .extensions import Ext, ProbeVerdict, Verdict, _evaluator, _judge, _nonzero, as_bundle_expr
+from . import cohomology
+from .extensions import Ext, ProbeVerdict, Verdict, _check_interval, _evaluator, _judge, _nonzero, as_bundle_expr
 from .scroll import DivisorClass, Scroll
 
 
@@ -81,23 +82,40 @@ def line_bundle_reg(s: Scroll, d: DivisorClass) -> int:
     return max(-d.h, -(d.f // s.a0) - d.h)
 
 
+def _leaves_regular(s: Scroll, classes, p: int) -> bool:
+    """Whether all three probes' hi vanish at p, read off the distinct
+    leaf `classes`: it is a count-weighted sum of their values.  Each is
+    looked up as the kernel does, at call time, and held to its leaf
+    rule, so a negative entry fails as it would in a walk."""
+    line = cohomology._line_cohomology
+    a0, a1 = s.a0, s.a1
+    nonzero = 0
+    for _, (th, tf), degree in _probe_plan(s, p, 0):
+        for h, f in classes:
+            v = h0, h1, h2 = line(a0, a1, h + th, f + tf)
+            if (h0 | h1 | h2) < 0:
+                _check_interval(h0, h0, h1, h1, h2, h2, h0 - h1 + h2)
+            nonzero |= v[degree]
+    return not nonzero
+
+
 def reg(s: Scroll, b) -> int | Verdict:
     """Least p with is_pp_regular(s, b, p, 0) TRUE, or INDETERMINATE.
 
     Each probe's hi is a sum over the leaves, so the test is first TRUE
-    at r = max line_bundle_reg over the leaves (module docstring), and
-    r - 1 decides the answer: a FALSE there names r, since regularity
-    is monotone in p for every member of the class, while an
-    INDETERMINATE leaves the least p unknown.  Sums are exact, so only
-    Ext inputs are probed at r - 1.  Its three or six probes are read
-    in one walk, through the evaluator every decision on b shares.
+    at r = max line_bundle_reg over the leaves (module docstring), which
+    is checked on the leaves, with no walk.  Then r - 1 decides the
+    answer: a FALSE there names r, since regularity is monotone in p for
+    every member of the class, while an INDETERMINATE leaves the least p
+    unknown.  Sums are exact, so only an Ext is walked, and only at
+    r - 1: three twists in one walk, through the evaluator every
+    decision on b shares.
     """
     b = _nonzero(b, "Reg of the zero bundle is not defined")
-    r = max(line_bundle_reg(s, d) for node in b.sums() for d, _ in node.terms)
-    plan = _probe_plan(s, r, 0) + (_probe_plan(s, r - 1, 0) if isinstance(b, Ext) else ())
-    probes = _evaluator(s, b).read(plan)
-    if _judge(probes[:3]).verdict is not Verdict.TRUE:
+    evaluator = _evaluator(s, b)
+    r = max(line_bundle_reg(s, d) for d in evaluator.classes)
+    if not _leaves_regular(s, evaluator.classes, r):
         raise AssertionError("the direct sum's regularity failed to certify the class")
-    if _judge(probes[3:]).verdict is Verdict.INDETERMINATE:
+    if isinstance(b, Ext) and _judge(evaluator.read(_probe_plan(s, r - 1, 0))).verdict is Verdict.INDETERMINATE:
         return Verdict.INDETERMINATE
     return r

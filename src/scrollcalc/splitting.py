@@ -92,12 +92,12 @@ def violating_twists(s: Scroll, b: BundleExpr, offset: int) -> tuple[tuple[int, 
     touching leaf intervals are merged.  For a Sum their union is exactly
     the violating set (h^1 is additive, no cancellation); for an Ext it
     is the support of the upper bound, so nothing outside it can ever be
-    nonzero.
+    nonzero.  The leaves are read as the distinct classes of b's
+    evaluator, so b is not walked again.
     """
     leaf_intervals: list[tuple[int, int]] = []
-    for node in b.sums():
-        for (h, f), _ in node.terms:
-            leaf_intervals += h1_violating_h_twists(s, (h, f + offset))
+    for h, f in _evaluator(s, b).classes:
+        leaf_intervals += h1_violating_h_twists(s, (h, f + offset))
     leaf_intervals.sort()
     merged: list[tuple[int, int]] = []
     for lo, hi in leaf_intervals:
@@ -115,9 +115,10 @@ def _scan(s: Scroll, b: BundleExpr, families: tuple[tuple[str, int], ...]) -> Pr
 
     The evaluator reads this plan in batches of 1, 2, 4, ... entries up
     to BATCH_BOUND, so a judge that stops at a failure has only that
-    failure's batch evaluated, and a family that repeats an earlier
-    f-offset, in this scan or an earlier one on b, reads its violating
-    intervals and the values of its twists from the evaluator.
+    failure's batch evaluated.  The violating intervals come from the
+    evaluator's distinct classes, and a family that repeats an earlier
+    f-offset, in this scan or an earlier one on b, reads them and the
+    values of its twists from the evaluator.
     """
     evaluator = _evaluator(s, b)
     violations = evaluator.violations

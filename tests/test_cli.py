@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from scrollcalc import DivisorClass, Scroll, extension_cohomology, extensions, parse_bundle_spec
+from scrollcalc import DivisorClass, Scroll, extension_cohomology, extensions, parse_bundle_spec, twist_rectangle
 from scrollcalc.cli import EXIT_BROKEN_PIPE, main
-from scrollcalc.extensions import BATCH_BOUND
+from scrollcalc.extensions import BATCH_BOUND, extension_cohomology_stream
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -382,9 +382,43 @@ def test_table_walks_once_per_chunk(capsys, walks, cells):
     assert out.splitlines() == ["tH,tf,h0,h1,h2,chi"] + want
 
 
+def reference_table(s, b, twists):
+    """The table's text rendered cell by cell: one IntervalCohom and one
+    line per twist of `extension_cohomology_stream`."""
+    lines = ["tH,tf,h0,h1,h2,chi"]
+    for t, iv in extension_cohomology_stream(s, b, twists):
+        bounds = ((iv.lo0, iv.hi0), (iv.lo1, iv.hi1), (iv.lo2, iv.hi2))
+        cells = ",".join(str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in bounds)
+        lines.append(f"{t.h},{t.f},{cells},{iv.chi}")
+    return "".join(f"{line}\n" for line in lines)
+
+
+class Recording(io.TextIOBase):
+    """A stdout that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_table_prints_one_chunk_per_batch(monkeypatch, walks):
+    # 17 x 16 = 272 cells span two batches, of 256 and 16 twists: the
+    # header and each batch's rows are one print each, a text and its
+    # newline, and the bytes are those of the cell-by-cell renderer
+    stdout = Recording()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["table", "--scroll=1,2", f"--bundle={TABLE_SPEC}", "--twists=-8:8,-8:7"]) == 0
+    assert walks == [BATCH_BOUND, 16] and len(stdout.writes) == 6
+    s, b = Scroll(1, 2), parse_bundle_spec(TABLE_SPEC)
+    assert "".join(stdout.writes) == reference_table(s, b, twist_rectangle((-8, 8), (-8, 7)))
+
+
 def test_regularity_compiles_once(capsys, walks, monkeypatch):
     # is_pp_regular at (p, p') and reg share the expression's evaluator:
-    # one compile, and reg walks only its own six twists
+    # one compile, and reg walks only the three twists of r - 1
     compiled = []
     real = extensions._compile
 
@@ -395,7 +429,7 @@ def test_regularity_compiles_once(capsys, walks, monkeypatch):
     monkeypatch.setattr(extensions, "_compile", counting)
     code, out, err = run(capsys, "regularity", "--scroll", "1,2", "--bundle", "ext(O(0,0); O(1,-3))")
     assert (code, err) == (0, "")
-    assert len(compiled) == 1 and walks == [3, 6]
+    assert len(compiled) == 1 and walks == [3, 3]
 
 
 class ClosedAfter(io.TextIOBase):
@@ -411,7 +445,7 @@ class ClosedAfter(io.TextIOBase):
         return len(text)
 
 
-@pytest.mark.parametrize("writes", [0, 6])
+@pytest.mark.parametrize("writes", [0, 1, 2, 6])
 def test_broken_pipe_exits_quietly(capsys, monkeypatch, writes):
     monkeypatch.setattr(sys, "stdout", ClosedAfter(writes))
     code = main(["table", "--scroll=1,2", "--bundle=ext(O(0,0); O(1,1))", "--twists=0:0,-1000000:1000000"])

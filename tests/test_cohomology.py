@@ -15,6 +15,7 @@ from scrollcalc import (
     UnsupportedCurveClass,
     euler_rr,
     h1_violating_h_twists,
+    intersect,
     line_cohomology,
     restricted_cohomology,
     serre_dual,
@@ -112,6 +113,16 @@ def test_restricted_cohomology_curves():
     assert restricted_cohomology(s, b, s.narrow_section()) == (2, 0)
     with pytest.raises(UnsupportedCurveClass):
         restricted_cohomology(s, b, DivisorClass(1, 1))
+
+
+any_scrolls = st.integers(1, 40).flatmap(lambda a0: st.integers(a0, 60).map(lambda a1: Scroll(a0, a1)))
+wide_divisors = st.builds(DivisorClass, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+
+
+@given(any_scrolls, wide_divisors)
+def test_euler_rr_is_the_intersection_form(s, d):
+    # the plain-integer D.(D-K) is the pairing of the lattice classes
+    assert euler_rr(s, d) == 1 + intersect(d, d - s.K, s) // 2
 
 
 def test_chi_never_raises_parity_guard(scroll):

@@ -493,7 +493,8 @@ def test_decisions_reject_the_zero_bundle(decide, zero):
 
 def test_probe_plans_take_one_walk(walks):
     # regularity reads three probes at three twists, Ulrich six at two,
-    # and reg on an Ext reads the three probes of r and of r - 1
+    # and reg on an Ext certifies r on the leaves and walks the three
+    # probes of r - 1
     s = Scroll(1, 2)
 
     def fresh():
@@ -502,7 +503,7 @@ def test_probe_plans_take_one_walk(walks):
     is_pp_regular(s, fresh(), 1, 0)
     is_ulrich(s, fresh())
     reg(s, fresh())
-    assert walks == [3, 2, 6]
+    assert walks == [3, 2, 3]
     # on one shared expression: the leaves' largest line_bundle_reg is
     # r = 2, so reg's three twists at r - 1 = 1 are those is_pp_regular
     # at p = 1 walked already, and a decision asked again walks nothing
@@ -512,7 +513,7 @@ def test_probe_plans_take_one_walk(walks):
     is_ulrich(s, b)
     reg(s, b)
     is_ulrich(s, b)
-    assert walks == [3, 2, 3]
+    assert walks == [3, 2]
 
 
 def test_probe_plans_match_single_twists():
@@ -631,16 +632,18 @@ def test_fixed_plans_match_single_twist_reference(s, b, p, pp):
 @pytest.mark.parametrize(
     "spec, walked",
     [
-        # regular: reg at r = 0 reads is_regular's plan; the summand's
-        # second cause and its auxiliaries come from earlier walks
+        # regular: reg walks nothing on a Sum, so is_regular walks its
+        # own plan; the summand's second cause and its auxiliaries come
+        # from earlier walks
         (
             "O(0,1) + O(1,-1) + O(2,-2)",
-            [[(-1, 1), (-1, 2), (0, -1)], [(-2, 0)], [(-1, 0)], [(-2, 2)], [(-2, 1)]],
+            [[(-2, 0)], [(-1, 0)], [(-2, 2)], [(-1, 1), (-1, 2), (0, -1)], [(-2, 1)]],
         ),
-        # not regular: reg at r = 1, then is_regular's three twists at p = 0
+        # not regular: reg walks nothing, then is_regular's three twists
+        # at p = 0
         (
             "O(0,0) + O(1,-1) + 2*O(2,-3)",
-            [[(0, 1), (0, 2), (1, -1)], [(-2, 0)], [(-1, 0)], [(-2, -1)], [(-1, 1), (-1, 2), (0, -1)]],
+            [[(-2, 0)], [(-1, 0)], [(-2, -1)], [(-1, 1), (-1, 2), (0, -1)]],
         ),
     ],
     ids=["regular", "not-regular"],
@@ -735,6 +738,31 @@ def test_equality_hash_and_repr_follow_the_tree(x, y):
     assert copy == x and hash(copy) == hash(x)
     assert repr(copy) == repr(x) == reference_repr(x)
     assert (x == y) is (format_bundle(x) == format_bundle(y))
+
+
+def reference_compile(b):
+    """The post-order program as it was compiled from `_pieces`' text
+    and Sums, with a combine at each closing parenthesis."""
+    sums, counts, index, ops = [], [], {}, []
+    for piece in extensions._pieces(b):
+        if isinstance(piece, Sum):
+            i = index.setdefault(piece.terms, len(sums))
+            if i == len(sums):
+                sums.append(piece.terms)
+                counts.append(0)
+            counts[i] += 1
+            ops.append(i)
+        elif piece == ")":
+            ops.append(extensions._COMBINE)
+    return tuple(sums), tuple(ops), tuple(counts)
+
+
+@given(st.one_of(exprs(5, few_sums), exprs(4)))
+def test_compile_matches_the_pieces_reference(b):
+    # _compile walks the nodes from its own stack; the evaluator's
+    # classes are the tree's distinct leaves in tree order
+    assert extensions._compile(b) == reference_compile(b)
+    assert extensions._evaluator(Scroll(1, 2), b).classes == tuple(dict.fromkeys(b.leaves()))
 
 
 def test_deep_chain_compares_hashes_and_prints_without_recursion():

@@ -27,7 +27,7 @@ from scrollcalc import (
     restricted_cohomology,
     sum_cohomology,
 )
-from scrollcalc import extensions
+from scrollcalc import cohomology, extensions, regularity
 
 from conftest import TEST_SCROLLS
 
@@ -183,9 +183,39 @@ def test_reg_matches_window_scan(s, b):
     assert reg(s, b) == window_scan_reg(s, b)
 
 
+def reference_certifies(s, b, p):
+    """The kernel's route to reg's certificate: the three probes at p,
+    read in one walk, all have hi = 0."""
+    probes = extensions._evaluator(s, b).read(regularity._probe_plan(s, p, 0))
+    return all(pr.hi == 0 for pr in probes)
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None)
+@given(scrolls, exprs(4), st.integers(-3, 1))
+def test_leaf_certificate_matches_the_kernel_probes(s, b, shift):
+    # around r, where reg checks it, the certificate read from the
+    # tree's distinct classes holds exactly when the kernel's probes vanish
+    classes = extensions._evaluator(s, b).classes
+    p = max(line_bundle_reg(s, d) for d in classes) + shift
+    assert regularity._leaves_regular(s, classes, p) is reference_certifies(s, b, p)
+
+
+@pytest.mark.parametrize("b", [line_bundle(0, 0), Ext(line_bundle(0, 0), line_bundle(0, 0))], ids=["sum", "ext"])
+def test_reg_checks_the_leaves_it_certifies(monkeypatch, b):
+    # r = 0 for O(0,0) on S(1,2), and its probe h1(E(-f)) looks O(0,-1)
+    # up; corrupted to h^1 = -1 there, the leaf rule fails as a walk would
+    real = cohomology._line_cohomology
+    monkeypatch.setattr(
+        cohomology, "_line_cohomology", lambda a0, a1, h, f: (0, -1, 0) if (h, f) == (0, -1) else real(a0, a1, h, f)
+    )
+    with pytest.raises(ValueError, match=r"^degree 1: need 0 <= lo <= hi$"):
+        reg(Scroll(1, 2), b)
+
+
 def test_reg_probes_at_most_two_twists(monkeypatch, walks):
-    # one compile and one walk per call: the three probes of r, and for
-    # an Ext those of r - 1 too
+    # one compile per call; r is certified on the leaves, so an Ext
+    # takes one walk, of the three probes of r - 1, and a Sum none
     s = Scroll(1, 2)
     b = line_bundle(0, 0)
     for _ in range(200):
@@ -199,7 +229,7 @@ def test_reg_probes_at_most_two_twists(monkeypatch, walks):
 
     monkeypatch.setattr(extensions, "_compile", counting)
     assert reg(s, b) == 0
-    assert walks == [6] and len(compiled) == 1
+    assert walks == [3] and len(compiled) == 1
     walks.clear()
     assert reg(s, bundle_sum(DivisorClass(0, 0), DivisorClass(1, -3))) == 2
-    assert walks == [3] and len(compiled) == 2
+    assert walks == [] and len(compiled) == 2
