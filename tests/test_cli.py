@@ -393,29 +393,6 @@ def reference_table(s, b, twists):
     return "".join(f"{line}\n" for line in lines)
 
 
-class Recording(io.TextIOBase):
-    """A stdout that keeps every write."""
-
-    def __init__(self):
-        self.writes = []
-
-    def write(self, text):
-        self.writes.append(text)
-        return len(text)
-
-
-def test_table_prints_one_chunk_per_batch(monkeypatch, walks):
-    # 17 x 16 = 272 cells span two batches, of 256 and 16 twists: the
-    # header and each batch's rows are one print each, a text and its
-    # newline, and the bytes are those of the cell-by-cell renderer
-    stdout = Recording()
-    monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(["table", "--scroll=1,2", f"--bundle={TABLE_SPEC}", "--twists=-8:8,-8:7"]) == 0
-    assert walks == [BATCH_BOUND, 16] and len(stdout.writes) == 6
-    s, b = Scroll(1, 2), parse_bundle_spec(TABLE_SPEC)
-    assert "".join(stdout.writes) == reference_table(s, b, twist_rectangle((-8, 8), (-8, 7)))
-
-
 def test_regularity_compiles_once(capsys, walks, monkeypatch):
     # is_pp_regular at (p, p') and reg share the expression's evaluator:
     # one compile, and reg walks only the three twists of r - 1
@@ -433,16 +410,31 @@ def test_regularity_compiles_once(capsys, walks, monkeypatch):
 
 
 class ClosedAfter(io.TextIOBase):
-    """A stdout whose reader goes away after `n` writes."""
+    """A stdout that keeps its writes, and whose reader goes away after
+    `n` of them."""
 
     def __init__(self, n):
         self.left = n
+        self.writes = []
 
     def write(self, text):
         if self.left == 0:
             raise BrokenPipeError(32, "Broken pipe")
         self.left -= 1
+        self.writes.append(text)
         return len(text)
+
+
+def test_table_prints_one_chunk_per_batch(monkeypatch, walks):
+    # 17 x 16 = 272 cells span two batches, of 256 and 16 twists: the
+    # header and each batch's rows are one print each, a text and its
+    # newline, and the bytes are those of the cell-by-cell renderer
+    stdout = ClosedAfter(math.inf)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["table", "--scroll=1,2", f"--bundle={TABLE_SPEC}", "--twists=-8:8,-8:7"]) == 0
+    assert walks == [BATCH_BOUND, 16] and len(stdout.writes) == 6
+    s, b = Scroll(1, 2), parse_bundle_spec(TABLE_SPEC)
+    assert "".join(stdout.writes) == reference_table(s, b, twist_rectangle((-8, 8), (-8, 7)))
 
 
 @pytest.mark.parametrize("writes", [0, 1, 2, 6])
