@@ -8,6 +8,9 @@ Every computation reduces to the base P^1 through three branches:
 * h-coefficient <= -2: relative duality sends O(aH+bf) to the case
   Sym^(-a-2) twisted by c-b-2, with the outer degrees swapped.
 
+The route builds every degree of the Sym power, so its time and memory
+are still linear in the h-coefficient.
+
 The degree swap in the last branch (X-degree i reads off P^1-degree 2-i)
 lives in the cached `_line_cohomology` and nowhere else; every consumer
 in the package goes through it.  Its cache holds plain (h0, h1, h2)
