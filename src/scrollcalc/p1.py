@@ -46,8 +46,7 @@ def sym_decompose(s: Scroll, a: int, b: int) -> P1Sum:
     built ascending from a*a0 + b in steps of e, without a sort."""
     if a < 0:
         raise NegativeSymPower(f"Sym^{a} requested; the power must be >= 0")
-    a0, a1 = s
-    lo, e = a * a0 + b, a1 - a0
+    lo, e = a * s.a0 + b, s.e
     return tuple.__new__(P1Sum, range(lo, lo + a * e + 1, e) if e else (lo,) * (a + 1))
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from scrollcalc import DivisorClass, Scroll, extension_cohomology, extensions, parse_bundle_spec, twist_rectangle
+from scrollcalc import DivisorClass, Scroll, cohomology, extension_cohomology, extensions, parse_bundle_spec, twist_rectangle
 from scrollcalc.cli import EXIT_BROKEN_PIPE, main
 from scrollcalc.extensions import BATCH_BOUND, extension_cohomology_stream
 
@@ -211,6 +211,24 @@ def test_plain_and_json_verdicts_agree(capsys, argv, key):
 def test_summand_of_the_zero_bundle_exits_3(capsys):
     code, out, err = run(capsys, "summand", "--scroll", "1,2", "--bundle", "0*O(0,0)")
     assert (code, out, err) == (3, "", "error: summand detection needs a bundle of positive rank\n")
+
+
+def _out_of_memory(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("cohomology", "--scroll", "1,2", "--divisor", "1000000,0"), ""),
+        # the header is printed before the first batch raises, and stays
+        (("table", "--scroll", "1,2", "--bundle", "O(1000000,0)", "--twists=0:1,0:1"), "tH,tf,h0,h1,h2,chi\n"),
+    ],
+    ids=["cohomology", "table"],
+)
+def test_out_of_memory_exits_3(capsys, monkeypatch, argv, out):
+    monkeypatch.setattr(cohomology, "_line_cohomology", _out_of_memory)
+    assert run(capsys, *argv) == (3, out, "error: the computation ran out of memory\n")
 
 
 def test_table_csv_shape(capsys):

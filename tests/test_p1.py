@@ -1,7 +1,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from scrollcalc import NegativeSymPower, P1Sum, Scroll, p1_cohomology, sym_decompose
+import reference_p1
+from scrollcalc import (
+    DivisorClass,
+    NegativeSymPower,
+    P1Sum,
+    Scroll,
+    euler_rr,
+    line_cohomology,
+    p1_cohomology,
+    sym_decompose,
+)
 
 
 def test_single_degree_cohomology():
@@ -46,3 +56,64 @@ def test_p1_serre_duality(degrees):
     _, h1 = p1_cohomology(P1Sum(tuple(degrees)))
     dual0, _ = p1_cohomology(P1Sum(tuple(-2 - d for d in degrees)))
     assert h1 == dual0
+
+
+# -- the sorted-progression route against the generator-and-sort reference
+
+scrolls = st.builds(
+    lambda a0, e: Scroll(a0, a0 + e),
+    st.integers(min_value=1, max_value=6),
+    st.one_of(st.just(0), st.integers(min_value=0, max_value=8)),
+)
+
+
+@given(scrolls, st.integers(min_value=0, max_value=300), st.integers(min_value=-600, max_value=600))
+def test_sym_decompose_matches_reference(s, a, b):
+    p = sym_decompose(s, a, b)
+    assert type(p) is P1Sum
+    assert p == reference_p1.sym_decompose(s, a, b)
+    assert list(p) == sorted(p) and p.rank == a + 1
+
+
+# the degrees where a summand's contribution changes: -2 is the last with
+# h^1 > 0, -1 has no cohomology, 0 is the first with h^0 > 0
+degrees = st.one_of(st.sampled_from((-2, -1, 0)), st.integers(min_value=-60, max_value=60))
+
+
+@given(st.lists(degrees, max_size=40))
+def test_p1_cohomology_matches_reference(ds):
+    p = P1Sum(ds)
+    assert p1_cohomology(p) == reference_p1.p1_cohomology(p)
+
+
+def test_p1_cohomology_of_the_empty_sum():
+    assert p1_cohomology(P1Sum(())) == reference_p1.p1_cohomology(P1Sum(())) == (0, 0)
+
+
+def _series(first: int, last: int, count: int) -> int:
+    """The sum of an arithmetic progression from its ends and length."""
+    return (first + last) * count // 2
+
+
+N = 10**6
+
+
+@pytest.mark.parametrize(
+    "scroll, h, expected",
+    [
+        # h >= 0: Sym^N(O(1) + O(2)) has degrees N..2N, each giving d + 1
+        (Scroll(1, 2), N, (_series(N + 1, 2 * N + 1, N + 1), 0, 0)),
+        # balanced: N + 1 copies of degree 2N
+        (Scroll(2, 2), N, (_series(2 * N + 1, 2 * N + 1, N + 1), 0, 0)),
+        # h <= -2: duality gives Sym^N twisted by c - 2 = 1, degrees N+1..2N+1
+        (Scroll(1, 2), -N - 2, (0, 0, _series(N + 2, 2 * N + 2, N + 1))),
+        # balanced, twisted by c - 2 = 2: N + 1 copies of degree 2N + 2
+        (Scroll(2, 2), -N - 2, (0, 0, _series(2 * N + 3, 2 * N + 3, N + 1))),
+    ],
+    ids=["S(1,2)+", "S(2,2)+", "S(1,2)-", "S(2,2)-"],
+)
+def test_line_cohomology_at_a_million(scroll, h, expected):
+    d = DivisorClass(h, 0)
+    rec = line_cohomology(scroll, d)
+    assert rec.as_tuple() == expected
+    assert rec.chi == euler_rr(scroll, d)
