@@ -12,30 +12,38 @@ The route builds every degree of the Sym power, so its time and memory
 are still linear in the h-coefficient.
 
 The degree swap in the last branch (X-degree i reads off P^1-degree 2-i)
-lives in the cached `_line_cohomology` and nowhere else; every consumer
-in the package goes through it.  Its cache holds plain (h0, h1, h2)
-tuples, and `line_cohomology` alone wraps one in a `CohomRecord`.  The
-per-class loops of `sum_cohomology` and of the Ext kernel's leaves read
-the tuples directly, looking the function up as this module's
-attribute each time they run.
+lives in the cached `_line_cohomology`.  Its cache holds plain
+(h0, h1, h2) tuples, and `line_cohomology` alone wraps one in a
+`CohomRecord`.  The per-class loops of `sum_cohomology` and of the Ext
+kernel's leaves read the tuples directly, looking the function up as
+this module's attribute each time they run.  One kind of value does
+not go through it: where no class of an Ext tree has h^1, the kernel
+takes the direct sum's h^0 and h^2 from Riemann-Roch over the tree's
+`h_groups`, with `h1_free_direct_sums`, in time independent of the
+coefficients.
 
 A direct sum of line bundles is a `Sum`: counted classes, the leaf
 node of the bundle trees in the extensions module.  Its cohomology is
 additive, so `sum_cohomology` and `restricted_cohomology` weight each
 distinct class by its count and never expand a multiplicity.
 
-`euler_rr` is an independent oracle: it computes the Euler characteristic
-from the intersection form alone, chi(D) = 1 + D.(D-K)/2, and never
-touches the direct-image route.  The test suite insists the two agree
-before anything downstream is trusted.
+The closed forms sit together at the end of the module: `euler_rr`, an
+independent oracle that computes the Euler characteristic from the
+intersection form alone, chi(D) = 1 + D.(D-K)/2, and never touches the
+direct-image route (the test suite insists the two agree before
+anything downstream is trusted); `h1_violating_h_twists`, where h^1 is
+nonzero; the h-group terms that answer h^1-free twists of a tree from
+both; and `p1_line_cohomology`, the one-line formula on P^1 behind
+`restricted_cohomology`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 from .errors import NegativeCount, OddIntersection, UnsupportedCurveClass
-from .p1 import P1Sum, p1_cohomology, sym_decompose
+from .p1 import p1_cohomology, sym_decompose
 from .scroll import ZERO, DivisorClass, Scroll, intersect
 
 
@@ -194,6 +202,82 @@ def h1_violating_h_twists(s: Scroll, d: tuple[int, int]) -> tuple[tuple[int, int
     return ()
 
 
+# the counted classes of one h-coefficient: (h, N, NF, fmin, fmax), with
+# N the sum of the counts and NF the sum of count * f
+HGroup = tuple[int, int, int, int, int]
+
+
+def h_groups(counted: Iterable[tuple[DivisorClass, int]]) -> tuple[HGroup, ...]:
+    """The counted classes grouped by h-coefficient, one `HGroup` per
+    distinct h.  The groups with the most extreme f come first, since
+    they are the likeliest to have h^1 at a twist."""
+    groups: dict[int, list[int]] = {}
+    for (h, f), n in counted:
+        g = groups.get(h)
+        if g is None:
+            groups[h] = [n, n * f, f, f]
+        else:
+            g[0] += n
+            g[1] += n * f
+            if f < g[2]:
+                g[2] = f
+            elif f > g[3]:
+                g[3] = f
+    return tuple(sorted(((h, *g) for h, g in groups.items()), key=lambda g: (-max(-g[3], g[4]), g[0])))
+
+
+def h1_free_direct_sums(
+    a0: int, a1: int, groups: tuple[HGroup, ...], twists: Iterable[tuple[int, int]]
+) -> list[tuple[int, int] | None]:
+    """Per twist (th, tf) of `twists`, in order: (h^0, h^2) of the direct
+    sum of the grouped classes twisted by O(th H + tf f) when no class
+    has h^1 there, else None.
+
+    With h' = h + th, a class of a group has h^1 exactly when
+    `h1_violating_h_twists` says so:
+
+    * h' >= 0 and h'*a0 + f + tf <= -2, or
+    * h' <= -2 and h'*a0 + f + tf >= c - 2*a0 = a1 - a0,
+
+    so the group's least f decides the first and its greatest the
+    second.  Without h^1 each class has h^0 = chi when h' >= 0, h^2 = chi
+    when h' <= -2 and no cohomology when h' = -1, and chi(O(hH + ff)) =
+    (h+1)(f+1) + c*h(h+1)/2 (`euler_rr`) summed over a group is
+    (h'+1)(NF + (tf+1)N) + c*N*h'(h'+1)/2, which is 0 at h' = -1.  The
+    cost is one pass over the groups per twist, whatever the
+    coefficients.
+    """
+    c = a0 + a1
+    e = a1 - a0
+    out: list[tuple[int, int] | None] = []
+    for th, tf in twists:
+        for h, _, _, fmin, fmax in groups:
+            h += th
+            if h >= 0:
+                if h * a0 + fmin + tf <= -2:
+                    out.append(None)
+                    break
+            elif h <= -2 and h * a0 + fmax + tf >= e:
+                out.append(None)
+                break
+        else:
+            h0 = h2 = 0
+            for h, n, nf, _, _ in groups:
+                h += th
+                chi = (h + 1) * (nf + (tf + 1) * n) + c * n * (h * (h + 1) // 2)
+                if h >= 0:
+                    h0 += chi
+                else:  # chi = 0 at h' = -1
+                    h2 += chi
+            out.append((h0, h2))
+    return out
+
+
+def p1_line_cohomology(d: int) -> tuple[int, int]:
+    """(h^0, h^1) of O(d) on P^1."""
+    return max(d + 1, 0), max(-d - 1, 0)
+
+
 def restricted_cohomology(
     s: Scroll, b: Sum, curve: DivisorClass, twist: DivisorClass = ZERO
 ) -> tuple[int, int]:
@@ -212,7 +296,7 @@ def restricted_cohomology(
         )
     h0 = h1 = 0
     for d, n in b.terms:
-        p0, p1 = p1_cohomology(P1Sum((intersect(d + twist, curve, s),)))
+        p0, p1 = p1_line_cohomology(intersect(d + twist, curve, s))
         h0 += n * p0
         h1 += n * p1
     return (h0, h1)

@@ -26,33 +26,46 @@ alone; `_compile` walks the nodes from a stack of its own, without
 that `sums()` yields; only `leaves()` expands multiplicities.
 
 The interval kernel runs in two steps.  `_compile` turns a tree into a
-post-order program over its distinct Sums, deduplicated by `terms`;
-`_walk` runs that program at a batch of twists: each distinct Sum is
-evaluated once per twist, straight from the cached line cohomology of
-its classes, and every node carries one value per twist that is not
-forced (below).  `_batches` compiles once and walks BATCH_BOUND twists
-at a time; the batch API `extension_cohomology_stream` and the CLI's
-`table` both read it.  `extension_cohomology` compiles and walks for
-one twist.
+post-order program over its distinct Sums, deduplicated by `terms`,
+with the classes of a tree with an Ext node grouped by h-coefficient
+(`cohomology.h_groups`, every occurrence counted); `_walk` runs that
+program at a batch of twists.  At each twist that is not forced
+(below), each distinct Sum is evaluated once, straight from the cached
+line cohomology of its classes, and every node carries one value.
+`_batches` compiles once and walks BATCH_BOUND twists at a time; the
+batch API `extension_cohomology_stream` and the CLI's `table` both read
+it.  `extension_cohomology` compiles and walks for one twist.
 
-In a tree with an Ext node, a twist where every distinct Sum has
-h^1 = 0 is forced, and `_walk` answers it as the direct sum without
-running the program: H^1 of every node is then 0 (it sits between H^1
-of its sub and quot), so each long exact sequence splits into
+In a tree with an Ext node, a twist where no class has h^1 is forced,
+and `_walk` answers it as the direct sum without running the program
+or reading a leaf: H^1 of every node is then 0 (it sits between H^1 of
+its sub and quot), so each long exact sequence splits into
 0 -> H^i(sub) -> H^i(E) -> H^i(quot) -> 0 for i = 0, 2, and every
-member of the class has the direct sum's cohomology.
+member of the class has the direct sum's cohomology.  Whether a class
+has h^1 is the closed form of `cohomology.h1_violating_h_twists`, and
+without h^1 a class's h^0 or h^2 is its chi, so
+`cohomology.h1_free_direct_sums` finds and answers forced twists from
+the h-groups alone: one pass over the tree's distinct h-coefficients,
+whatever the size of the coefficients.
 
-Values are checked against the `IntervalCohom` invariants of
-`_check_interval` (0 <= lo_i <= hi_i, chi inside the alternating-sum
-range) once, at the leaves: each Sum value where it is summed.  Being
-exact, it fails only through a negative entry.  What is built from
-valid values needs no check: each clamped term above is at most the
-matching child's hi; chi stays in range because
-max(lo_0(quot) - hi_1(sub), 0) + max(lo_2(sub) - hi_1(quot), 0) is at
-most lo_2(sub) + lo_0(quot), and lo_1 at most lo_1(sub) + lo_1(quot);
-and a counts-weighted direct sum of valid exact values is valid.  The
-API wraps values in `IntervalCohom` without checking them again; an
-`IntervalCohom` built directly checks its fields.
+Leaf values are read, and checked against the `IntervalCohom`
+invariants of `_check_interval` (0 <= lo_i <= hi_i, chi inside the
+alternating-sum range), only at unforced twists, once: each Sum value
+where it is summed.  Being exact, it fails only through a negative
+entry.  What is built from valid values needs no check: each clamped
+term above is at most the matching child's hi; chi stays in range
+because max(lo_0(quot) - hi_1(sub), 0) + max(lo_2(sub) - hi_1(quot), 0)
+is at most lo_2(sub) + lo_0(quot), and lo_1 at most
+lo_1(sub) + lo_1(quot).  A forced value (t0, t0, 0, 0, t2, t2, t0 + t2)
+is valid by construction: its lo and hi agree and chi is their
+alternating sum, and t0 and t2 are not negative, because each group's
+term is, class by class, an h^0 or an h^2.  Without h^1, every degree
+d of the P^1 data the class's cohomology is read from (the direct
+image, or its dual in the duality branch) is at least -1, so that
+h^0 or h^2 is the sum of d + 1 over them, which is chi and at least 0;
+at h' = -1 the term is 0.  The API wraps values in `IntervalCohom`
+without checking them again; an `IntervalCohom` built directly checks
+its fields.
 
 Every decision procedure in the package (regularity, splitting, ACM,
 Ulrich, summand detection) asks whether finitely many h^i vanish, and
@@ -81,7 +94,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import filterfalse, islice
+from itertools import filterfalse, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -245,8 +258,9 @@ _Value = tuple[int, int, int, int, int, int, int]  # (lo0, hi0, lo1, hi1, lo2, h
 
 # a compiled tree: the terms of its distinct Sums, its nodes in
 # post-order, each the index of a Sum or _COMBINE for an Ext node, and
-# how often each distinct Sum occurs in the tree
-_Program = tuple[tuple[tuple[tuple[DivisorClass, int], ...], ...], tuple[int, ...], tuple[int, ...]]
+# the `cohomology.h_groups` of its classes, counted over the whole tree
+# (none for a lone Sum, which has no forced twists to find)
+_Program = tuple[tuple[tuple[tuple[DivisorClass, int], ...], ...], tuple[int, ...], tuple[cohomology.HGroup, ...]]
 _COMBINE = -1
 
 _TWIST = itemgetter(1)  # of a (name, twist, degree) plan entry
@@ -258,7 +272,9 @@ BATCH_BOUND = 256
 
 def _compile(b) -> _Program:
     """The post-order program of a bundle expression, built from an
-    explicit stack of its nodes; Sums are deduplicated by `terms`."""
+    explicit stack of its nodes; Sums are deduplicated by `terms`, and
+    in a tree with an Ext node their classes are grouped by h with every
+    occurrence counted."""
     sums: list[tuple] = []
     counts: list[int] = []
     index: dict[tuple, int] = {}  # Sum terms -> position in sums
@@ -277,22 +293,27 @@ def _compile(b) -> _Program:
                 counts.append(0)
             counts[i] += 1
             ops.append(i)
-    return tuple(sums), tuple(ops), tuple(counts)
+    if len(ops) == 1:  # a lone Sum: its walk never looks for forced twists
+        return tuple(sums), tuple(ops), ()
+    counted = ((d, k * n) for terms, k in zip(sums, counts) for d, n in terms)
+    return tuple(sums), tuple(ops), cohomology.h_groups(counted)
 
 
 def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[_Value]:
     """The interval kernel: one run of a compiled tree for a batch of twists.
 
-    Each distinct Sum is evaluated exactly, once per twist, from the
-    cached line cohomology of its classes, and checked there; forced
-    twists take the direct sum.  The remaining twists run the program,
-    every node carrying one plain (lo0, hi0, lo1, hi1, lo2, hi2, chi)
-    tuple per twist: an Ext node combines its children twist by twist
-    through the long exact sequence bounds.  Both steps keep the
-    invariants (module docstring).  Values come back in the order of
-    `twists`.
+    In a tree with an Ext node, a twist where no class has h^1 is
+    forced: it takes the direct sum's value from Riemann-Roch over the
+    program's h-groups (`cohomology.h1_free_direct_sums`) and reads no
+    leaf.  At every other twist each distinct Sum is evaluated exactly,
+    once, from the cached line cohomology of its classes, and checked
+    there; the program then runs, every node carrying one plain
+    (lo0, hi0, lo1, hi1, lo2, hi2, chi) tuple per twist: an Ext node
+    combines its children twist by twist through the long exact sequence
+    bounds.  Both steps keep the invariants (module docstring).  Values
+    come back in the order of `twists`.
     """
-    sums, ops, counts = program
+    sums, ops, groups = program
     a0, a1 = s.a0, s.a1
     # looked up when the walk runs, so that a function put in the
     # module's place (the benchmark's oracles swap in the uncached one)
@@ -303,8 +324,13 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
     # the exact value of each Sum, m to a twist, at each twist not forced
     flat = []
     forced = []  # (position in twists, direct-sum value)
-    for th, tf in twists:
-        h1s = 0  # nonzero once some Sum has h^1 > 0
+    free = repeat(None) if lone else cohomology.h1_free_direct_sums(a0, a1, groups, twists)
+    for (th, tf), t in zip(twists, free):
+        if t is not None:
+            t0, t2 = t
+            # the twists before this one: those in flat, and the forced
+            forced.append((len(flat) // m + len(forced), (t0, t0, 0, 0, t2, t2, t0 + t2)))
+            continue
         for terms in sums:
             h0 = h1 = h2 = 0
             for (h, f), n in terms:
@@ -316,17 +342,7 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
             v = (h0, h0, h1, h1, h2, h2, h0 - h1 + h2)
             if (h0 | h1 | h2) < 0:
                 _check_interval(*v)
-            h1s |= h1
             flat.append(v)
-        if lone or h1s:
-            continue
-        t0 = t2 = 0
-        for v, n in zip(flat[-m:], counts):
-            t0 += n * v[0]
-            t2 += n * v[4]
-        del flat[-m:]
-        # the twists before this one: those left in flat, and the forced
-        forced.append((len(flat) // m + len(forced), (t0, t0, 0, 0, t2, t2, t0 + t2)))
     if lone:
         return flat
     if not flat:

@@ -231,6 +231,16 @@ def test_out_of_memory_exits_3(capsys, monkeypatch, argv, out):
     assert run(capsys, *argv) == (3, out, "error: the computation ran out of memory\n")
 
 
+def test_huge_coefficient_in_an_ext_at_a_forced_twist(capsys, monkeypatch):
+    # no leaf of the tree has h^1 at twist 0, so the value is the direct
+    # sum's, from Riemann-Roch: chi(O(10^8 H)) = (10^8 + 1) + 3 * 10^8 *
+    # (10^8 + 1) / 2 on S(1,2), plus 1 for O(0,0).  No leaf is looked up,
+    # so nothing of the Sym power's size is built
+    monkeypatch.setattr(cohomology, "_line_cohomology", _out_of_memory)
+    argv = ("table", "--scroll=1,2", "--bundle=ext(O(100000000,0); O(0,0))", "--twists=0:0,0:0")
+    assert run(capsys, *argv) == (0, "tH,tf,h0,h1,h2,chi\n0,0,15000000250000002,0,0,15000000250000002\n", "")
+
+
 def test_table_csv_shape(capsys):
     code, out, _ = run(
         capsys, "table", "--scroll", "1,2", "--bundle", "O(0,0)", "--twists=-1:1,-1:1"

@@ -11,17 +11,21 @@ from hypothesis import given, strategies as st
 
 from scrollcalc import (
     DivisorClass,
+    P1Sum,
     Scroll,
     UnsupportedCurveClass,
     euler_rr,
     h1_violating_h_twists,
     intersect,
     line_cohomology,
+    p1_cohomology,
     restricted_cohomology,
     serre_dual,
     bundle_sum,
     sum_cohomology,
 )
+
+from scrollcalc.cohomology import p1_line_cohomology
 
 from conftest import TEST_SCROLLS
 
@@ -147,3 +151,20 @@ def test_h0_of_effective_multiples(scroll):
         rec = line_cohomology(scroll, DivisorClass(m, 0))
         assert rec.h1 == 0 and rec.h2 == 0
         assert rec.h0 == euler_rr(scroll, DivisorClass(m, 0))
+
+
+@given(st.integers(-10**9, 10**9))
+def test_p1_line_cohomology_matches_the_p1sum_route(d):
+    assert p1_line_cohomology(d) == p1_cohomology(P1Sum((d,)))
+
+
+@given(scrolls, st.lists(st.tuples(divisors, st.integers(1, 5)), min_size=0, max_size=4), st.integers(0, 2), divisors)
+def test_restricted_cohomology_matches_the_p1sum_route(s, counted, k, twist):
+    # the one-line P^1 formula against a one-degree P1Sum per class
+    b = bundle_sum(*(d for d, n in counted for _ in range(n)))
+    curve = (DivisorClass(0, 1), DivisorClass(1, 0), s.narrow_section())[k]
+    want = [0, 0]
+    for d, n in b.terms:
+        for i, v in enumerate(p1_cohomology(P1Sum((intersect(d + twist, curve, s),)))):
+            want[i] += n * v
+    assert restricted_cohomology(s, b, curve, twist) == tuple(want)

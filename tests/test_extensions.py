@@ -318,7 +318,10 @@ banded_twists = st.lists(
 @given(scrolls, exprs(5), banded_twists, st.data())
 def test_walk_keeps_the_invariants_from_any_leaf_values(s, b, twists, data):
     # any nonnegative line cohomology, drawn per class looked up, gives
-    # valid values at forced and unforced twists of one batch alike
+    # valid values at forced and unforced twists of one batch alike.
+    # Forced twists of a tree are found from its classes and read no
+    # leaf, so the unforced twists are those forced_twist rejects, and
+    # only their classes are drawn (a lone Sum reads every twist)
     drawn = {}
 
     def line(a0, a1, h, f):
@@ -329,8 +332,10 @@ def test_walk_keeps_the_invariants_from_any_leaf_values(s, b, twists, data):
 
     with mock.patch.object(cohomology, "_line_cohomology", line):
         got = [v for _, v in extension_cohomology_stream(s, b, twists)]
-    unforced = [t for t in twists if any(drawn[d.h + t.h, d.f + t.f][1] for d in b.leaves())]
+    unforced = [t for t in twists if not forced_twist(s, b, t)]
     assume(0 < len(unforced) < len(twists))
+    read = twists if type(b) is Sum else unforced
+    assert set(drawn) == {(d.h + t.h, d.f + t.f) for t in read for d in b.leaves()}
     for v in got:
         IntervalCohom(*v)
 
@@ -353,16 +358,18 @@ def test_batch_of_no_twists_is_empty():
 def test_batch_checks_every_node_at_every_twist(monkeypatch):
     # a leaf value that breaks 0 <= lo at the third of five twists only,
     # put where the kernel looks its leaves up: O(1,0) twisted by
-    # O(0,2), the one lookup of (1, 2) in the batch.  The Sum holding it
+    # O(0,-2), the one lookup of (1, -2) in the batch, at a twist that is
+    # not forced (O(0,0) twisted by it has h^1 = 1).  The Sum holding it
     # fails _check_interval there, where it is summed, with its message,
     # while the same batch without that twist passes
     s = Scroll(1, 2)
     b = Ext(line_bundle(0, 0), Ext(line_bundle(1, 0), line_bundle(0, 1)))
-    twists = [DivisorClass(0, k) for k in range(5)]
+    twists = [DivisorClass(0, k) for k in range(-4, 1)]
+    assert not forced_twist(s, b, twists[2])
     real = cohomology._line_cohomology
 
     def corrupt(a0, a1, h, f):
-        return (-5, 0, 0) if (h, f) == (1, 2) else real(a0, a1, h, f)
+        return (-5, 0, 0) if (h, f) == (1, -2) else real(a0, a1, h, f)
 
     monkeypatch.setattr(cohomology, "_line_cohomology", corrupt)
     with pytest.raises(ValueError, match=r"^degree 0: need 0 <= lo <= hi$"):
@@ -387,7 +394,11 @@ rectangles = st.tuples(st.integers(-6, 4), st.integers(1, 16), st.integers(-8, 6
 @given(scrolls, exprs(5), rectangles, st.sampled_from(["forced", "unforced", "mixed"]))
 def test_forced_twists_take_the_direct_sum(s, b, rectangle, kind):
     # one batch of up to 256 twists from a rectangle: its forced twists
-    # only, its other twists only, or all of it with both kinds present
+    # only, its other twists only, or all of it with both kinds present.
+    # Two independent routes meet here: the kernel answers forced twists
+    # from Riemann-Roch over its h-groups and reads no leaf, while the
+    # recursive reference and sum_cohomology read every leaf's line
+    # cohomology off the Sym route
     hlo, wh, flo, wf = rectangle
     cells = list(twist_rectangle((hlo, hlo + wh - 1), (flo, flo + wf - 1)))
     forced = [t for t in cells if forced_twist(s, b, t)]
@@ -402,11 +413,57 @@ def test_forced_twists_take_the_direct_sum(s, b, rectangle, kind):
         assert iv.forced and (iv.lo0, iv.lo1, iv.lo2, iv.chi) == (h.h0, h.h1, h.h2, h.chi)
 
 
+# the test scrolls and two unbalanced ones
+DIFFERENTIAL_SCROLLS = TEST_SCROLLS + (Scroll(1, 50), Scroll(3, 40))
+
+
+@st.composite
+def near_the_h1_boundary(draw):
+    """A scroll, a tree over it and up to eight twists, with |h| up to
+    10^3 in classes and twists alike.  Classes are O(h, k - h*a0) and
+    twists O(th, j - th*a0), so h'*a0 + f' = k + j stays near the
+    thresholds -2 and c - 2*a0 of `h1_violating_h_twists` however large
+    h' = h + th is, on either side of the duality branch."""
+    s = draw(st.sampled_from(DIFFERENTIAL_SCROLLS))
+    gap = s.c - 2 * s.a0
+
+    def near(h_bound, k):
+        return st.builds(lambda h, k: DivisorClass(h, k - h * s.a0), st.integers(-h_bound, h_bound), k)
+
+    leaves = st.lists(near(10**3, st.integers(-3, gap + 3)), min_size=1, max_size=3).map(lambda ds: bundle_sum(*ds))
+    twists = st.lists(near(10**3, st.integers(-3, 3)), min_size=1, max_size=8)
+    return s, draw(exprs(5, leaves)), draw(twists)
+
+
+@seed(20261023)
+@settings(max_examples=300, deadline=None)
+@given(near_the_h1_boundary())
+def test_h_groups_agree_with_the_sym_route(case):
+    # two independent routes: the h-groups' forced test and Riemann-Roch
+    # terms, against forced_twist and the direct sum read off the Sym
+    # route leaf by leaf; the batch matches the recursive reference at
+    # forced and unforced twists alike
+    s, b, twists = case
+    groups = cohomology.h_groups((d, 1) for d in b.leaves())
+    direct = bundle_sum(*b.leaves())
+    for t, forced in zip(twists, cohomology.h1_free_direct_sums(s.a0, s.a1, groups, twists), strict=True):
+        assert (forced is not None) == forced_twist(s, b, t)
+        if forced is not None:
+            h = sum_cohomology(s, direct, t)
+            assert forced == (h.h0, h.h2)
+            assert extension_cohomology(s, b, t) == (h.h0, h.h0, 0, 0, h.h2, h.h2, h.chi)
+    got = [as_reference(iv) for _, iv in extension_cohomology_stream(s, b, twists)]
+    assert got == [reference_cohomology(s, b, t) for t in twists]
+
+
+def _no_leaf_read(*args):
+    raise AssertionError("a leaf was looked up")
+
+
 def test_forced_twist_checks_every_leaf(monkeypatch):
     # at twist 0 on S(1,2), O(-3,-2) has h = (0, 0, 11) and O(0,0) has
-    # h^1 = 0, so the twist is forced.  A lookup of O(0,0) corrupted to
-    # h2 = -5 is masked at the Ext node (lo2 = 11 - 5 = hi2) but not at
-    # the leaf
+    # h^1 = 0, so the twist is forced: its value is the direct sum's,
+    # from Riemann-Roch over the classes, and no leaf is looked up
     s = Scroll(1, 2)
     b = Ext(line_bundle(-3, -2), line_bundle(0, 0))
     real = cohomology._line_cohomology
@@ -414,9 +471,10 @@ def test_forced_twist_checks_every_leaf(monkeypatch):
     def corrupt(value):
         return lambda a0, a1, h, f: value if (h, f) == (0, 0) else real(a0, a1, h, f)
 
-    monkeypatch.setattr(cohomology, "_line_cohomology", corrupt((0, 0, -5)))
-    with pytest.raises(ValueError, match=r"^degree 2: need 0 <= lo <= hi$"):
-        extension_cohomology(s, b)
+    direct = sum_cohomology(s, bundle_sum(*b.leaves()))
+    assert direct.as_tuple() == (1, 0, 11)
+    monkeypatch.setattr(cohomology, "_line_cohomology", _no_leaf_read)
+    assert extension_cohomology(s, b) == (1, 1, 0, 0, 11, 11, 12)
     # a leaf with h^1 < 0 fails where it is summed, in degree 1, before
     # the twist is judged forced or the Ext node above it is combined
     monkeypatch.setattr(cohomology, "_line_cohomology", corrupt((1, -1, 0)))
@@ -742,19 +800,25 @@ def test_equality_hash_and_repr_follow_the_tree(x, y):
 
 def reference_compile(b):
     """The post-order program as it was compiled from `_pieces`' text
-    and Sums, with a combine at each closing parenthesis."""
-    sums, counts, index, ops = [], [], {}, []
+    and Sums, with a combine at each closing parenthesis, and the
+    h-groups of the tree's leaves, multiplicities expanded: per distinct
+    h, (h, N, NF, fmin, fmax), the most extreme f first; none for a lone
+    Sum."""
+    sums, index, ops = [], {}, []
     for piece in extensions._pieces(b):
         if isinstance(piece, Sum):
             i = index.setdefault(piece.terms, len(sums))
             if i == len(sums):
                 sums.append(piece.terms)
-                counts.append(0)
-            counts[i] += 1
             ops.append(i)
         elif piece == ")":
             ops.append(extensions._COMBINE)
-    return tuple(sums), tuple(ops), tuple(counts)
+    fs = {}
+    for d in as_bundle_expr(b).leaves() if len(ops) > 1 else ():
+        fs.setdefault(d.h, []).append(d.f)
+    groups = [(h, len(f), sum(f), min(f), max(f)) for h, f in fs.items()]
+    groups.sort(key=lambda g: (-max(-g[3], g[4]), g[0]))
+    return tuple(sums), tuple(ops), tuple(groups)
 
 
 @given(st.one_of(exprs(5, few_sums), exprs(4)))
