@@ -25,8 +25,9 @@ their JSON from `_render`.
 Exit codes: 0 when a result was computed (negative and indeterminate
 verdicts included), 2 for usage or bundle-spec parse errors, 3 for
 domain errors such as invalid scrolls or unsupported arrangements and
-for a computation that runs out of memory (stdout keeps what was
-printed before, for `table` its header), and 141 (EXIT_BROKEN_PIPE)
+for a computation that runs out of memory or overflows a machine-sized
+integer, as an h-coefficient of 2^63 or more does (stdout keeps what
+was printed before, for `table` its header), and 141 (EXIT_BROKEN_PIPE)
 when stdout is closed before the output is all written, as in
 `scrollcalc table ... | head`; nothing goes to stderr then.
 """
@@ -316,6 +317,9 @@ def main(argv=None) -> int:
         return 2 if isinstance(exc, ParseError) else 3
     except MemoryError:
         print("error: the computation ran out of memory", file=sys.stderr)
+        return 3
+    except OverflowError:
+        print("error: a coefficient is too large for the computation", file=sys.stderr)
         return 3
     return 0
 

@@ -14,17 +14,18 @@ are still linear in the h-coefficient.
 The degree swap in the last branch (X-degree i reads off P^1-degree 2-i)
 lives in the cached `_line_cohomology`.  Its cache holds plain
 (h0, h1, h2) tuples, and `line_cohomology` alone wraps one in a
-`CohomRecord`.  The per-class loops of `sum_cohomology` and of the Ext
-kernel's leaves read the tuples directly, looking the function up as
-this module's attribute each time they run.  One kind of value does
-not go through it: where no class of an Ext tree has h^1, the kernel
-takes the direct sum's h^0 and h^2 from Riemann-Roch over the tree's
+`CohomRecord`.  Every other caller reads it through one batched reader,
+`_sum_values`, the value of each of a list of Sums at each of a list of
+twists: `sum_cohomology` is its one-twist call, the Ext kernel calls it
+once per walk, and `reg` checks its certificate with it.  One kind of
+value does not go through it: where no class of an Ext tree has h^1, the kernel takes
+the direct sum's h^0 and h^2 from Riemann-Roch over the tree's
 `h_groups`, with `h1_free_direct_sums`, in time independent of the
 coefficients.
 
 A direct sum of line bundles is a `Sum`: counted classes, the leaf
 node of the bundle trees in the extensions module.  Its cohomology is
-additive, so `sum_cohomology` and `restricted_cohomology` weight each
+additive, so `_sum_values` and `restricted_cohomology` weight each
 distinct class by its count and never expand a multiplicity.
 
 The closed forms sit together at the end of the module: `euler_rr`, an
@@ -32,14 +33,15 @@ independent oracle that computes the Euler characteristic from the
 intersection form alone, chi(D) = 1 + D.(D-K)/2, and never touches the
 direct-image route (the test suite insists the two agree before
 anything downstream is trusted); `h1_violating_h_twists`, where h^1 is
-nonzero; the h-group terms that answer h^1-free twists of a tree from
-both; and `p1_line_cohomology`, the one-line formula on P^1 behind
-`restricted_cohomology`.
+nonzero; `line_bundle_reg` and `gg_region`, the regular and globally
+generated regions of a line bundle; the h-group terms that answer
+h^1-free twists of a tree from both; and `p1_line_cohomology`, the
+one-line formula on P^1 behind `restricted_cohomology`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 from .errors import NegativeCount, OddIntersection, UnsupportedCurveClass
@@ -153,16 +155,34 @@ def line_cohomology(s: Scroll, d: DivisorClass) -> CohomRecord:
     return CohomRecord(*_line_cohomology(s.a0, s.a1, d.h, d.f))
 
 
+def _sum_values(
+    a0: int, a1: int, sums: Sequence[tuple], twists: Iterable[tuple[int, int]]
+) -> list[tuple[int, int, int]]:
+    """Exact (h^0, h^1, h^2) of each of `sums` (`Sum.terms`) twisted by each
+    (th, tf) of `twists`, twist-major.  It looks `_line_cohomology` up when
+    it runs, so a function put in its place (the benchmark's oracles swap
+    in the uncached one) is the one called; a negative entry, which only
+    such a function gives, fails with the Ext kernel's message."""
+    line = _line_cohomology
+    out = []
+    for th, tf in twists:
+        for terms in sums:
+            h0 = h1 = h2 = 0
+            for (h, f), n in terms:
+                l0, l1, l2 = line(a0, a1, h + th, f + tf)
+                h0 += n * l0
+                h1 += n * l1
+                h2 += n * l2
+            if (h0 | h1 | h2) < 0:
+                degree = next(i for i, v in enumerate((h0, h1, h2)) if v < 0)
+                raise ValueError(f"degree {degree}: need 0 <= lo <= hi")
+            out.append((h0, h1, h2))
+    return out
+
+
 def sum_cohomology(s: Scroll, b: Sum, twist: DivisorClass = ZERO) -> CohomRecord:
     """Cohomology of a twisted direct sum: n*h^i per distinct class."""
-    th, tf = twist
-    h0 = h1 = h2 = 0
-    for (h, f), n in b.terms:
-        l0, l1, l2 = _line_cohomology(s.a0, s.a1, h + th, f + tf)
-        h0 += n * l0
-        h1 += n * l1
-        h2 += n * l2
-    return CohomRecord(h0, h1, h2)
+    return CohomRecord(*_sum_values(s.a0, s.a1, (b.terms,), (twist,))[0])
 
 
 def euler_rr(s: Scroll, d: DivisorClass) -> int:
@@ -200,6 +220,21 @@ def h1_violating_h_twists(s: Scroll, d: tuple[int, int]) -> tuple[tuple[int, int
     if f >= c:
         return ((-h - 2 - (f - c) // a0, -h - 2),)
     return ()
+
+
+def line_bundle_reg(s: Scroll, d: DivisorClass) -> int:
+    """Reg of a single line bundle in closed form: the least p with
+    O(d + pH) regular, that is in the region a >= 0, b >= -a*a0."""
+    # ceil(-b/a0) written with floor division
+    return max(-d.h, -(d.f // s.a0) - d.h)
+
+
+def gg_region(s: Scroll, d: DivisorClass) -> bool:
+    """Global generation region: a >= 0 and a*a0 + b >= 0.
+
+    Equivalently every degree in the direct image on P^1 is >= 0.
+    """
+    return d.h >= 0 and d.h * s.a0 + d.f >= 0
 
 
 # the counted classes of one h-coefficient: (h, N, NF, fmin, fmax), with

@@ -29,9 +29,10 @@ The interval kernel runs in two steps.  `_compile` turns a tree into a
 post-order program over its distinct Sums, deduplicated by `terms`,
 with the classes of a tree with an Ext node grouped by h-coefficient
 (`cohomology.h_groups`, every occurrence counted); `_walk` runs that
-program at a batch of twists.  At each twist that is not forced
-(below), each distinct Sum is evaluated once, straight from the cached
-line cohomology of its classes, and every node carries one value.
+program at a batch of twists.  The twists that are not forced (below)
+take one call of the leaf reader, `cohomology._sum_values`, which
+evaluates each distinct Sum once at each of them, and every node
+carries one value.
 `_batches` compiles once and walks BATCH_BOUND twists at a time; the
 batch API `extension_cohomology_stream` and the CLI's `table` both read
 it.  `extension_cohomology` compiles and walks for one twist.
@@ -48,10 +49,10 @@ without h^1 a class's h^0 or h^2 is its chi, so
 the h-groups alone: one pass over the tree's distinct h-coefficients,
 whatever the size of the coefficients.
 
-Leaf values are read, and checked against the `IntervalCohom`
-invariants of `_check_interval` (0 <= lo_i <= hi_i, chi inside the
-alternating-sum range), only at unforced twists, once: each Sum value
-where it is summed.  Being exact, it fails only through a negative
+Leaf values are read only at unforced twists, and checked once, by the
+reader, against the `IntervalCohom` invariants of `_check_interval`
+(0 <= lo_i <= hi_i, chi inside the alternating-sum range) and with its
+message.  Being exact, a Sum value fails them only through a negative
 entry.  What is built from valid values needs no check: each clamped
 term above is at most the matching child's hi; chi stays in range
 because max(lo_0(quot) - hi_1(sub), 0) + max(lo_2(sub) - hi_1(quot), 0)
@@ -94,7 +95,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import filterfalse, islice, repeat
+from itertools import filterfalse, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -305,48 +306,35 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
     In a tree with an Ext node, a twist where no class has h^1 is
     forced: it takes the direct sum's value from Riemann-Roch over the
     program's h-groups (`cohomology.h1_free_direct_sums`) and reads no
-    leaf.  At every other twist each distinct Sum is evaluated exactly,
-    once, from the cached line cohomology of its classes, and checked
-    there; the program then runs, every node carrying one plain
-    (lo0, hi0, lo1, hi1, lo2, hi2, chi) tuple per twist: an Ext node
-    combines its children twist by twist through the long exact sequence
-    bounds.  Both steps keep the invariants (module docstring).  Values
-    come back in the order of `twists`.
+    leaf.  The other twists are read in one call of the leaf reader,
+    `cohomology._sum_values`: the exact value of each distinct Sum at
+    each of them, checked there.  The program then runs, every node
+    carrying one plain (lo0, hi0, lo1, hi1, lo2, hi2, chi) tuple per
+    twist: an Ext node combines its children twist by twist through the
+    long exact sequence bounds.  Both steps keep the invariants (module
+    docstring).  Values come back in the order of `twists`.
     """
     sums, ops, groups = program
     a0, a1 = s.a0, s.a1
-    # looked up when the walk runs, so that a function put in the
-    # module's place (the benchmark's oracles swap in the uncached one)
-    # is the one called
-    line = cohomology._line_cohomology
-    m = len(sums)
     lone = len(ops) == 1  # no combine for the forced shortcut to skip
-    # the exact value of each Sum, m to a twist, at each twist not forced
-    flat = []
     forced = []  # (position in twists, direct-sum value)
-    free = repeat(None) if lone else cohomology.h1_free_direct_sums(a0, a1, groups, twists)
-    for (th, tf), t in zip(twists, free):
-        if t is not None:
-            t0, t2 = t
-            # the twists before this one: those in flat, and the forced
-            forced.append((len(flat) // m + len(forced), (t0, t0, 0, 0, t2, t2, t0 + t2)))
-            continue
-        for terms in sums:
-            h0 = h1 = h2 = 0
-            for (h, f), n in terms:
-                l0, l1, l2 = line(a0, a1, h + th, f + tf)
-                h0 += n * l0
-                h1 += n * l1
-                h2 += n * l2
-            # exact, so lo = hi and chi is the alternating sum
-            v = (h0, h0, h1, h1, h2, h2, h0 - h1 + h2)
-            if (h0 | h1 | h2) < 0:
-                _check_interval(*v)
-            flat.append(v)
+    if not lone:
+        unforced = []
+        for k, t in enumerate(cohomology.h1_free_direct_sums(a0, a1, groups, twists)):
+            if t is None:
+                unforced.append(twists[k])
+            else:
+                t0, t2 = t
+                forced.append((k, (t0, t0, 0, 0, t2, t2, t0 + t2)))
+        if not unforced:
+            return [v for _, v in forced]
+        twists = unforced
+    # each Sum's value, len(sums) to a twist: exact, so lo = hi and chi
+    # is the alternating sum
+    flat = [(h0, h0, h1, h1, h2, h2, h0 - h1 + h2) for h0, h1, h2 in cohomology._sum_values(a0, a1, sums, twists)]
     if lone:
         return flat
-    if not flat:
-        return [v for _, v in forced]
+    m = len(sums)
     values: list[list[_Value]] = []
     for op in ops:
         if op != _COMBINE:
@@ -436,6 +424,11 @@ class _Evaluator:
             v = values[tw]
             probes.append(tuple.__new__(Probe, (name, tw, v[2 * degree], v[2 * degree + 1])))
         return tuple(probes)
+
+    def classes_values(self, twists: Sequence[DivisorClass]) -> list[tuple[int, int, int]]:
+        """The exact (h0, h1, h2) of the direct sum of `classes`, each
+        once, at each of `twists`: one call of the leaf reader, no walk."""
+        return cohomology._sum_values(self.s.a0, self.s.a1, (tuple((d, 1) for d in self.classes),), twists)
 
     def probes(self, plan: Iterable[tuple[str, DivisorClass, int]]) -> Iterator[Probe]:
         """The probes of a plan, lazily and in plan order: `read` over

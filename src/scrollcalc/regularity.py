@@ -24,14 +24,15 @@ An upward scan therefore first meets TRUE at r.  It returns r unless
 the verdict just below, at r - 1, is INDETERMINATE; a FALSE there
 certifies that no member of the class is regular at r - 1.  `reg`
 checks the certificate at r on the tree's distinct classes, with no
-walk, and for an Ext reads the probes at r - 1 in one walk, through
-the expression's one evaluator, which every decision on it shares.
+walk, through the kernel's leaf reader, and for an Ext reads the
+probes at r - 1 in one walk, through the expression's one evaluator,
+which every decision on it shares.
 """
 
 from __future__ import annotations
 
-from . import cohomology
-from .extensions import Ext, ProbeVerdict, Verdict, _check_interval, _evaluator, _judge, _nonzero, as_bundle_expr
+from .cohomology import line_bundle_reg
+from .extensions import Ext, ProbeVerdict, Verdict, _evaluator, _judge, _nonzero, as_bundle_expr
 from .scroll import DivisorClass, Scroll
 
 
@@ -63,58 +64,25 @@ def is_regular(s: Scroll, b) -> ProbeVerdict:
     return is_pp_regular(s, b, 0, 0)
 
 
-def regular_region(s: Scroll, d: DivisorClass) -> bool:
-    """Closed form: O(aH+bf) is regular iff a >= 0 and b >= -a*a0."""
-    return line_bundle_reg(s, d) <= 0
-
-
-def gg_region(s: Scroll, d: DivisorClass) -> bool:
-    """Global generation region: a >= 0 and a*a0 + b >= 0.
-
-    Equivalently every degree in the direct image on P^1 is >= 0.
-    """
-    return d.h >= 0 and d.h * s.a0 + d.f >= 0
-
-
-def line_bundle_reg(s: Scroll, d: DivisorClass) -> int:
-    """Reg of a single line bundle in closed form."""
-    # ceil(-b/a0) written with floor division
-    return max(-d.h, -(d.f // s.a0) - d.h)
-
-
-def _leaves_regular(s: Scroll, classes, p: int) -> bool:
-    """Whether all three probes' hi vanish at p, read off the distinct
-    leaf `classes`: it is a count-weighted sum of their values.  Each is
-    looked up as the kernel does, at call time, and held to its leaf
-    rule, so a negative entry fails as it would in a walk."""
-    line = cohomology._line_cohomology
-    a0, a1 = s.a0, s.a1
-    nonzero = 0
-    for _, (th, tf), degree in _probe_plan(s, p, 0):
-        for h, f in classes:
-            v = h0, h1, h2 = line(a0, a1, h + th, f + tf)
-            if (h0 | h1 | h2) < 0:
-                _check_interval(h0, h0, h1, h1, h2, h2, h0 - h1 + h2)
-            nonzero |= v[degree]
-    return not nonzero
-
-
 def reg(s: Scroll, b) -> int | Verdict:
     """Least p with is_pp_regular(s, b, p, 0) TRUE, or INDETERMINATE.
 
     Each probe's hi is a sum over the leaves, so the test is first TRUE
-    at r = max line_bundle_reg over the leaves (module docstring), which
-    is checked on the leaves, with no walk.  Then r - 1 decides the
-    answer: a FALSE there names r, since regularity is monotone in p for
-    every member of the class, while an INDETERMINATE leaves the least p
-    unknown.  Sums are exact, so only an Ext is walked, and only at
-    r - 1: three twists in one walk, through the evaluator every
-    decision on b shares.
+    at r = max line_bundle_reg over the leaves (module docstring).  That
+    is checked on the direct sum of the tree's distinct classes at the
+    three twists of r, in one call of the cohomology module's leaf
+    reader, with no walk.
+    Then r - 1 decides the answer: a FALSE there names r, since
+    regularity is monotone in p for every member of the class, while an
+    INDETERMINATE leaves the least p unknown.  Sums are exact, so only
+    an Ext is walked, and only at r - 1: three twists in one walk,
+    through the evaluator every decision on b shares.
     """
     b = _nonzero(b, "Reg of the zero bundle is not defined")
     evaluator = _evaluator(s, b)
     r = max(line_bundle_reg(s, d) for d in evaluator.classes)
-    if not _leaves_regular(s, evaluator.classes, r):
+    plan = _probe_plan(s, r, 0)
+    if any(v[degree] for v, (_, _, degree) in zip(evaluator.classes_values([tw for _, tw, _ in plan]), plan)):
         raise AssertionError("the direct sum's regularity failed to certify the class")
     if isinstance(b, Ext) and _judge(evaluator.read(_probe_plan(s, r - 1, 0))).verdict is Verdict.INDETERMINATE:
         return Verdict.INDETERMINATE

@@ -35,7 +35,6 @@ from scrollcalc import (
     make_ulrich,
     parse_bundle_spec,
     reg,
-    regular_region,
     residue_consistency,
     serre_dual,
     sum_cohomology,
@@ -83,7 +82,7 @@ def test_criterion_2_regular_region():
     for s in TEST_SCROLLS:
         for d in _grid():
             b = bundle_sum(d)
-            if (is_regular(s, b).verdict is Verdict.TRUE) != regular_region(s, d):
+            if (is_regular(s, b).verdict is Verdict.TRUE) != (line_bundle_reg(s, d) <= 0):
                 ok, detail = False, f"region mismatch at {s} {d}"
                 break
             r = line_bundle_reg(s, d)

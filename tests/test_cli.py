@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,43 @@ def _out_of_memory(*args):
 def test_out_of_memory_exits_3(capsys, monkeypatch, argv, out):
     monkeypatch.setattr(cohomology, "_line_cohomology", _out_of_memory)
     assert run(capsys, *argv) == (3, out, "error: the computation ran out of memory\n")
+
+
+def _overflow(*args):
+    raise OverflowError("Python int too large to convert to C ssize_t")
+
+
+OVERFLOW = (3, "", "error: a coefficient is too large for the computation\n")
+
+
+def test_overflow_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cohomology, "_line_cohomology", _overflow)
+    assert run(capsys, "cohomology", "--scroll", "1,2", "--divisor", "1000000,0") == OVERFLOW
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cohomology", "--scroll", "1,2", "--divisor", f"{10**24},0"),
+        ("cohomology", "--scroll", "1,1", "--divisor", f"{10**24},0"),
+        ("cohomology", "--scroll", "1,2", f"--divisor={-10**24},0"),
+        ("ext1", "--scroll", "1,2", "--from", "0,0", "--to", f"{10**21},0"),
+        ("regularity", "--scroll", "1,2", "--bundle", "O(0,0)", "--p", f"{10**30}"),
+    ],
+    ids=["cohomology", "cohomology-e0", "cohomology-dual", "ext1", "regularity"],
+)
+def test_coefficient_past_ssize_t_exits_3_at_once(capsys, argv):
+    # a Sym power of 2^63 or more degrees cannot have a length, so the
+    # P^1 route raises OverflowError before it allocates: the whole call
+    # peaks far below the size of a single degree list
+    tracemalloc.start()
+    try:
+        got = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == OVERFLOW
+    assert peak < 10**6
 
 
 def test_huge_coefficient_in_an_ext_at_a_forced_twist(capsys, monkeypatch):

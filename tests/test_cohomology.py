@@ -7,25 +7,32 @@ same role for the index-swapped branch.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
+import reference_p1
 from scrollcalc import (
     DivisorClass,
-    P1Sum,
+    Ext,
     Scroll,
+    Sum,
     UnsupportedCurveClass,
+    bundle_sum,
     euler_rr,
+    extension_cohomology,
     h1_violating_h_twists,
     intersect,
+    line_bundle,
     line_cohomology,
-    p1_cohomology,
+    reg,
     restricted_cohomology,
     serre_dual,
-    bundle_sum,
     sum_cohomology,
 )
 
+from scrollcalc import cohomology
 from scrollcalc.cohomology import p1_line_cohomology
+from scrollcalc.extensions import extension_cohomology_stream
+from scrollcalc.p1 import P1Sum, p1_cohomology
 
 from conftest import TEST_SCROLLS
 
@@ -168,3 +175,106 @@ def test_restricted_cohomology_matches_the_p1sum_route(s, counted, k, twist):
         for i, v in enumerate(p1_cohomology(P1Sum((intersect(d + twist, curve, s),)))):
             want[i] += n * v
     assert restricted_cohomology(s, b, curve, twist) == tuple(want)
+
+
+def reference_line(s, h, f):
+    """(h^0, h^1, h^2) of O(hH + fF) off the generator-and-sort P^1
+    route of reference_p1, by the three branches of the module."""
+    if h == -1:
+        return (0, 0, 0)
+    if h >= 0:
+        p0, p1 = reference_p1.p1_cohomology(reference_p1.sym_decompose(s, h, f))
+        return (p0, p1, 0)
+    p0, p1 = reference_p1.p1_cohomology(reference_p1.sym_decompose(s, -h - 2, s.c - f - 2))
+    return (0, p1, p0)
+
+
+counted_sums = st.lists(st.tuples(divisors, st.integers(1, 10**6)), max_size=4).map(
+    lambda counted: Sum(tuple(counted)).terms
+)
+
+
+@seed(20261024)
+@settings(max_examples=300, deadline=None)
+@given(scrolls, st.lists(counted_sums, max_size=4), st.lists(divisors, max_size=5))
+def test_sum_values_match_the_per_class_reference(s, sums, twists):
+    # h and the twist's h each range over -9..9, so the twisted h' takes
+    # both sides of the duality branch and -1 alike
+    want = []
+    for th, tf in twists:
+        for terms in sums:
+            value = [0, 0, 0]
+            for (h, f), n in terms:
+                for i, v in enumerate(reference_line(s, h + th, f + tf)):
+                    value[i] += n * v
+            want.append(tuple(value))
+    assert cohomology._sum_values(s.a0, s.a1, sums, twists) == want
+
+
+def test_leaves_are_read_only_through_the_reader(monkeypatch):
+    # a fake reader records each call, and a fake line lookup fails
+    # outside it: a walk calls the reader once, with its unforced twists
+    # only, reg once for its certificate and once in its walk, and
+    # sum_cohomology once, with its one twist
+    calls = []
+    inside = []
+    real_reader, real_line = cohomology._sum_values, cohomology._line_cohomology
+
+    def reader(a0, a1, sums, twists):
+        twists = list(twists)
+        calls.append((len(sums), twists))
+        inside.append(True)
+        try:
+            return real_reader(a0, a1, sums, twists)
+        finally:
+            inside.pop()
+
+    def line(a0, a1, h, f):
+        assert inside, "a leaf was looked up outside the reader"
+        return real_line(a0, a1, h, f)
+
+    monkeypatch.setattr(cohomology, "_sum_values", reader)
+    monkeypatch.setattr(cohomology, "_line_cohomology", line)
+    s = Scroll(1, 2)
+    # O(0,-2) has h^1 = 1 at twist 0 and none at (0,2): one unforced
+    # and one forced twist
+    b = Ext(line_bundle(0, -2), Ext(line_bundle(1, 0), line_bundle(0, -2)))
+    twists = [DivisorClass(0, 0), DivisorClass(0, 2)]
+    assert len(list(extension_cohomology_stream(s, b, twists))) == 2
+    assert calls == [(2, twists[:1])]
+    calls.clear()
+    assert len(list(extension_cohomology_stream(s, line_bundle(0, 0), twists))) == 2
+    assert calls == [(1, twists)]
+    calls.clear()
+    assert reg(s, b) == 2
+    # the certificate at r = 2, on the direct sum of the two distinct
+    # classes, then the walk at r - 1, where only (1,-1) is unforced
+    assert calls == [(1, [DivisorClass(1, 1), DivisorClass(1, 2), DivisorClass(2, -1)]), (2, [DivisorClass(1, -1)])]
+    calls.clear()
+    assert sum_cohomology(s, bundle_sum(DivisorClass(0, 0), DivisorClass(1, 0)), DivisorClass(0, 1)).h0 == 9
+    assert calls == [(1, [DivisorClass(0, 1)])]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize(
+    "path",
+    [
+        lambda s: extension_cohomology(s, line_bundle(0, -1)),
+        lambda s: extension_cohomology(s, Ext(line_bundle(0, -1), line_bundle(0, -2))),
+        lambda s: reg(s, line_bundle(0, 0)),
+        lambda s: reg(s, Ext(line_bundle(0, 0), line_bundle(0, 0))),
+        lambda s: sum_cohomology(s, line_bundle(0, -1)),
+    ],
+    ids=["walk-sum", "walk-ext", "reg-sum", "reg-ext", "sum_cohomology"],
+)
+def test_a_negative_leaf_fails_alike_on_every_path(monkeypatch, path, degree):
+    # each path looks O(0,-1) up on S(1,2): the walks at twist 0, which
+    # is unforced for the Ext since O(0,-2) has h^1 = 1 there, and reg at
+    # the twist (0,-1) of its probe h1(E(-f)) at r = 0
+    real = cohomology._line_cohomology
+    bad = tuple(-1 if i == degree else 0 for i in range(3))
+    monkeypatch.setattr(
+        cohomology, "_line_cohomology", lambda a0, a1, h, f: bad if (h, f) == (0, -1) else real(a0, a1, h, f)
+    )
+    with pytest.raises(ValueError, match=rf"^degree {degree}: need 0 <= lo <= hi$"):
+        path(Scroll(1, 2))

@@ -24,7 +24,6 @@ from scrollcalc import (
     EmptyBundle,
     Ext,
     IntervalCohom,
-    P1Sum,
     Probe,
     ProbeVerdict,
     Scroll,
@@ -55,6 +54,7 @@ from scrollcalc import (
 
 from scrollcalc import cohomology, extensions, regularity, splitting
 from scrollcalc.extensions import extension_cohomology_stream
+from scrollcalc.p1 import P1Sum
 
 from conftest import TEST_SCROLLS
 
@@ -360,8 +360,8 @@ def test_batch_checks_every_node_at_every_twist(monkeypatch):
     # put where the kernel looks its leaves up: O(1,0) twisted by
     # O(0,-2), the one lookup of (1, -2) in the batch, at a twist that is
     # not forced (O(0,0) twisted by it has h^1 = 1).  The Sum holding it
-    # fails _check_interval there, where it is summed, with its message,
-    # while the same batch without that twist passes
+    # fails there, where the leaf reader sums it, with _check_interval's
+    # message, while the same batch without that twist passes
     s = Scroll(1, 2)
     b = Ext(line_bundle(0, 0), Ext(line_bundle(1, 0), line_bundle(0, 1)))
     twists = [DivisorClass(0, k) for k in range(-4, 1)]
@@ -486,7 +486,7 @@ def test_lone_sum_checks_its_leaf_at_a_forced_twist(monkeypatch):
     # a lone Sum is checked where it is summed, like every Sum: at twist
     # 0 on S(1,2) O(0,0) has h^1 = 0, where a tree would be forced, and
     # its lookup corrupted to h2 = -5 fails the check there, in the
-    # kernel itself, before any IntervalCohom is built
+    # walk's leaf reader, before any IntervalCohom is built
     s = Scroll(1, 2)
     real = cohomology._line_cohomology
     monkeypatch.setattr(
@@ -513,8 +513,8 @@ def test_lone_sum_checks_its_leaf_at_an_unforced_twist(monkeypatch):
 
 def test_stream_checks_each_value_once(monkeypatch):
     # the 40-node chain of the table golden over its 16 x 16 rectangle:
-    # no Sum value is negative, so the walk, which checks a Sum value
-    # only when it has a negative entry, calls _check_interval for none,
+    # no Sum value is negative, and the walk leaves the check of Sum
+    # values to the leaf reader, so _check_interval is called for none,
     # and wrapping a value in IntervalCohom does not check it again
     _, scroll, bundle, twists = json.loads((GOLDEN / "table_ext_16x16.json").read_text())[0]["argv"]
     assert (scroll, twists) == ("--scroll=1,2", "--twists=-8:7,-8:7")

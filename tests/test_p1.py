@@ -2,16 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_p1
-from scrollcalc import (
-    DivisorClass,
-    NegativeSymPower,
-    P1Sum,
-    Scroll,
-    euler_rr,
-    line_cohomology,
-    p1_cohomology,
-    sym_decompose,
-)
+from scrollcalc import DivisorClass, Scroll, euler_rr, line_cohomology
+from scrollcalc.errors import NegativeSymPower
+from scrollcalc.p1 import P1Sum, p1_cohomology, sym_decompose
 
 
 def test_single_degree_cohomology():

@@ -18,6 +18,14 @@ DELETED = (
     (cohomology, "sum_cohomology_batch"),
     (scroll, "restriction_degree"),
     (logbundles, "FORMULA_ONLY_FLAG"),
+    (regularity, "regular_region"),
+    (regularity, "_leaves_regular"),
+    # the P^1 route's internals stay in scrollcalc.p1 and
+    # scrollcalc.errors, unexported
+    (scrollcalc, "P1Sum"),
+    (scrollcalc, "sym_decompose"),
+    (scrollcalc, "p1_cohomology"),
+    (scrollcalc, "NegativeSymPower"),
 )
 
 
@@ -58,3 +66,8 @@ def test_deleted_methods_are_gone():
     assert not hasattr(extensions.IntervalCohom, "exact")
     assert not hasattr(extensions.IntervalCohom, "as_record_tuple")
     assert not hasattr(logbundles.Arrangement, "flags")
+
+
+def test_leaf_closed_forms_live_in_cohomology():
+    assert scrollcalc.line_bundle_reg is cohomology.line_bundle_reg
+    assert scrollcalc.gg_region is cohomology.gg_region

@@ -23,7 +23,6 @@ from scrollcalc import (
     line_bundle_reg,
     line_cohomology,
     reg,
-    regular_region,
     restricted_cohomology,
     sum_cohomology,
 )
@@ -55,12 +54,12 @@ def test_probes_match_region(scroll):
     for d in grid():
         report = is_regular(scroll, bundle_sum(d))
         assert report.verdict in (Verdict.TRUE, Verdict.FALSE)
-        assert (report.verdict is Verdict.TRUE) == regular_region(scroll, d)
+        assert (report.verdict is Verdict.TRUE) == (line_bundle_reg(scroll, d) <= 0)
 
 
 def test_region_equals_gg_region(scroll):
     for d in grid():
-        assert regular_region(scroll, d) == gg_region(scroll, d)
+        assert (line_bundle_reg(scroll, d) <= 0) == gg_region(scroll, d)
 
 
 def test_reg_of_the_three_acm_types(scroll):
@@ -81,9 +80,13 @@ def test_empty_bundle_rejected(scroll):
 
 @given(scrolls, divisors)
 def test_line_bundle_reg_closed_form(s, d):
+    # O(aH + bf) is regular iff a >= 0 and b >= -a*a0: d + rH is, and
+    # d + (r - 1)H is not
     r = line_bundle_reg(s, d)
-    assert regular_region(s, d + DivisorClass(r, 0))
-    assert not regular_region(s, d + DivisorClass(r - 1, 0))
+    for p, regular in ((r, True), (r - 1, False)):
+        a, b = d.h + p, d.f
+        assert (a >= 0 and b >= -a * s.a0) is regular
+        assert (line_bundle_reg(s, d + DivisorClass(p, 0)) <= 0) is regular
 
 
 @given(scrolls, divisors)
@@ -104,7 +107,7 @@ def test_sum_reg_is_max_of_members(s, ds):
 def test_twist_stability(scroll):
     # a regular sheaf stays regular under nonnegative twists
     for d in grid(4, 6):
-        if not regular_region(scroll, d):
+        if line_bundle_reg(scroll, d) > 0:
             continue
         b = bundle_sum(d)
         for p in range(0, 3):
@@ -116,7 +119,7 @@ def test_regular_restrictions_have_no_h1(scroll):
     # restriction of a regular bundle to a fibre or a hyperplane section
     # has vanishing h^1
     for d in grid(4, 6):
-        if not regular_region(scroll, d):
+        if line_bundle_reg(scroll, d) > 0:
             continue
         b = bundle_sum(d)
         assert restricted_cohomology(scroll, b, DivisorClass(0, 1))[1] == 0
@@ -127,7 +130,7 @@ def test_regular_h0_second_difference(scroll):
     # for regular F all h^i with i > 0 vanish in the fibre direction, so
     # h^0(F(f)) - 2 h^0(F) + h^0(F(-f)) = 0 (chi is quadratic and f^2 = 0)
     for d in grid(4, 6):
-        if not regular_region(scroll, d):
+        if line_bundle_reg(scroll, d) > 0:
             continue
         b = bundle_sum(d)
         up = sum_cohomology(scroll, b, DivisorClass(0, 1)).h0
@@ -190,6 +193,16 @@ def reference_certifies(s, b, p):
     return all(pr.hi == 0 for pr in probes)
 
 
+def leaf_certifies(s, b, p):
+    """reg's route to its certificate: each probe's degree vanishes on
+    the direct sum of the tree's distinct classes at the probe's twist,
+    read in one call of the leaf reader."""
+    evaluator = extensions._evaluator(s, b)
+    plan = regularity._probe_plan(s, p, 0)
+    values = evaluator.classes_values([tw for _, tw, _ in plan])
+    return all(v[degree] == 0 for v, (_, _, degree) in zip(values, plan, strict=True))
+
+
 @seed(20261020)
 @settings(max_examples=200, deadline=None)
 @given(scrolls, exprs(4), st.integers(-3, 1))
@@ -198,13 +211,14 @@ def test_leaf_certificate_matches_the_kernel_probes(s, b, shift):
     # tree's distinct classes holds exactly when the kernel's probes vanish
     classes = extensions._evaluator(s, b).classes
     p = max(line_bundle_reg(s, d) for d in classes) + shift
-    assert regularity._leaves_regular(s, classes, p) is reference_certifies(s, b, p)
+    assert leaf_certifies(s, b, p) is reference_certifies(s, b, p)
 
 
 @pytest.mark.parametrize("b", [line_bundle(0, 0), Ext(line_bundle(0, 0), line_bundle(0, 0))], ids=["sum", "ext"])
 def test_reg_checks_the_leaves_it_certifies(monkeypatch, b):
     # r = 0 for O(0,0) on S(1,2), and its probe h1(E(-f)) looks O(0,-1)
-    # up; corrupted to h^1 = -1 there, the leaf rule fails as a walk would
+    # up; corrupted to h^1 = -1 there, the leaf reader fails the
+    # certificate as it fails a walk
     real = cohomology._line_cohomology
     monkeypatch.setattr(
         cohomology, "_line_cohomology", lambda a0, a1, h, f: (0, -1, 0) if (h, f) == (0, -1) else real(a0, a1, h, f)
