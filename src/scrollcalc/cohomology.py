@@ -17,11 +17,13 @@ lives in the cached `_line_cohomology`.  Its cache holds plain
 `CohomRecord`.  Every other caller reads it through one batched reader,
 `_sum_values`, the value of each of a list of Sums at each of a list of
 twists: `sum_cohomology` is its one-twist call, the Ext kernel calls it
-once per walk, and `reg` checks its certificate with it.  One kind of
-value does not go through it: where no class of an Ext tree has h^1, the kernel takes
-the direct sum's h^0 and h^2 from Riemann-Roch over the tree's
-`h_groups`, with `h1_free_direct_sums`, in time independent of the
-coefficients.
+once per walk, and `reg` checks its certificate with it.  Where no
+class of an Ext tree has h^1, the kernel reads no leaf: it takes the
+direct sum from Riemann-Roch over the tree's `h_groups`, with
+`h1_free_direct_sums`, in time independent of the coefficients.  Both
+give the kernel's one value shape, `_Value`, exact here:
+(h0, h0, h1, h1, h2, h2, chi).  `_check_interval` is the one check of
+those values and of every `IntervalCohom`.
 
 A direct sum of line bundles is a `Sum`: counted classes, the leaf
 node of the bundle trees in the extensions module.  Its cohomology is
@@ -155,14 +157,28 @@ def line_cohomology(s: Scroll, d: DivisorClass) -> CohomRecord:
     return CohomRecord(*_line_cohomology(s.a0, s.a1, d.h, d.f))
 
 
+# the Ext kernel's one value shape, from the leaf reader to the root
+_Value = tuple[int, int, int, int, int, int, int]  # (lo0, hi0, lo1, hi1, lo2, hi2, chi)
+
+
+def _check_interval(lo0: int, hi0: int, lo1: int, hi1: int, lo2: int, hi2: int, chi: int) -> None:
+    """0 <= lo_i <= hi_i and chi inside the alternating-sum range."""
+    for i, lo, hi in ((0, lo0, hi0), (1, lo1, hi1), (2, lo2, hi2)):
+        if not 0 <= lo <= hi:
+            raise ValueError(f"degree {i}: need 0 <= lo <= hi")
+    if not (lo0 - hi1 + lo2 <= chi <= hi0 - lo1 + hi2):
+        raise ValueError("chi falls outside the interval alternating sum")
+
+
 def _sum_values(
     a0: int, a1: int, sums: Sequence[tuple], twists: Iterable[tuple[int, int]]
-) -> list[tuple[int, int, int]]:
-    """Exact (h^0, h^1, h^2) of each of `sums` (`Sum.terms`) twisted by each
-    (th, tf) of `twists`, twist-major.  It looks `_line_cohomology` up when
-    it runs, so a function put in its place (the benchmark's oracles swap
-    in the uncached one) is the one called; a negative entry, which only
-    such a function gives, fails with the Ext kernel's message."""
+) -> list[_Value]:
+    """The exact (h0, h0, h1, h1, h2, h2, chi) of each of `sums`
+    (`Sum.terms`) twisted by each (th, tf) of `twists`, twist-major.  It
+    looks `_line_cohomology` up when it runs, so a function put in its
+    place (the benchmark's oracles swap in the uncached one) is the one
+    called; a negative entry, which only such a function gives, fails
+    `_check_interval`, and only such a value is checked."""
     line = _line_cohomology
     out = []
     for th, tf in twists:
@@ -174,15 +190,15 @@ def _sum_values(
                 h1 += n * l1
                 h2 += n * l2
             if (h0 | h1 | h2) < 0:
-                degree = next(i for i, v in enumerate((h0, h1, h2)) if v < 0)
-                raise ValueError(f"degree {degree}: need 0 <= lo <= hi")
-            out.append((h0, h1, h2))
+                _check_interval(h0, h0, h1, h1, h2, h2, h0 - h1 + h2)
+            out.append((h0, h0, h1, h1, h2, h2, h0 - h1 + h2))
     return out
 
 
 def sum_cohomology(s: Scroll, b: Sum, twist: DivisorClass = ZERO) -> CohomRecord:
-    """Cohomology of a twisted direct sum: n*h^i per distinct class."""
-    return CohomRecord(*_sum_values(s.a0, s.a1, (b.terms,), (twist,))[0])
+    """Cohomology of a twisted direct sum: n*h^i per distinct class, h^i
+    at place 2i of the reader's value."""
+    return CohomRecord(*_sum_values(s.a0, s.a1, (b.terms,), (twist,))[0][:5:2])
 
 
 def euler_rr(s: Scroll, d: DivisorClass) -> int:
@@ -263,10 +279,11 @@ def h_groups(counted: Iterable[tuple[DivisorClass, int]]) -> tuple[HGroup, ...]:
 
 def h1_free_direct_sums(
     a0: int, a1: int, groups: tuple[HGroup, ...], twists: Iterable[tuple[int, int]]
-) -> list[tuple[int, int] | None]:
-    """Per twist (th, tf) of `twists`, in order: (h^0, h^2) of the direct
-    sum of the grouped classes twisted by O(th H + tf f) when no class
-    has h^1 there, else None.
+) -> list[_Value | None]:
+    """Per twist (th, tf) of `twists`, in order: the exact value
+    (h0, h0, 0, 0, h2, h2, h0 + h2) of the direct sum of the grouped
+    classes twisted by O(th H + tf f) when no class has h^1 there, else
+    None.
 
     With h' = h + th, a class of a group has h^1 exactly when
     `h1_violating_h_twists` says so:
@@ -284,7 +301,7 @@ def h1_free_direct_sums(
     """
     c = a0 + a1
     e = a1 - a0
-    out: list[tuple[int, int] | None] = []
+    out: list[_Value | None] = []
     for th, tf in twists:
         for h, _, _, fmin, fmax in groups:
             h += th
@@ -304,7 +321,7 @@ def h1_free_direct_sums(
                     h0 += chi
                 else:  # chi = 0 at h' = -1
                     h2 += chi
-            out.append((h0, h2))
+            out.append((h0, h0, 0, 0, h2, h2, h0 + h2))
     return out
 
 

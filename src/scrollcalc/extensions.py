@@ -31,8 +31,9 @@ with the classes of a tree with an Ext node grouped by h-coefficient
 (`cohomology.h_groups`, every occurrence counted); `_walk` runs that
 program at a batch of twists.  The twists that are not forced (below)
 take one call of the leaf reader, `cohomology._sum_values`, which
-evaluates each distinct Sum once at each of them, and every node
-carries one value.
+evaluates each distinct Sum once at each of them.  Every value, from
+the reader and the forced test up to the root, has one shape: the
+plain 7-tuple `_Value`, the fields of `IntervalCohom`.
 `_batches` compiles once and walks BATCH_BOUND twists at a time; the
 batch API `extension_cohomology_stream` and the CLI's `table` both read
 it.  `extension_cohomology` compiles and walks for one twist.
@@ -47,13 +48,15 @@ has h^1 is the closed form of `cohomology.h1_violating_h_twists`, and
 without h^1 a class's h^0 or h^2 is its chi, so
 `cohomology.h1_free_direct_sums` finds and answers forced twists from
 the h-groups alone: one pass over the tree's distinct h-coefficients,
-whatever the size of the coefficients.
+whatever the size of the coefficients.  Its list holds None at the
+other twists, and `_walk` fills those places with the root's values,
+in order.
 
 Leaf values are read only at unforced twists, and checked once, by the
 reader, against the `IntervalCohom` invariants of `_check_interval`
-(0 <= lo_i <= hi_i, chi inside the alternating-sum range) and with its
-message.  Being exact, a Sum value fails them only through a negative
-entry.  What is built from valid values needs no check: each clamped
+(0 <= lo_i <= hi_i, chi inside the alternating-sum range), which lives
+beside it in `cohomology`, and with its message.  Being exact, a Sum
+value fails them only through a negative entry.  What is built from valid values needs no check: each clamped
 term above is at most the matching child's hi; chi stays in range
 because max(lo_0(quot) - hi_1(sub), 0) + max(lo_2(sub) - hi_1(quot), 0)
 is at most lo_2(sub) + lo_0(quot), and lo_1 at most
@@ -100,7 +103,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import cohomology
-from .cohomology import Sum, _frozen, line_cohomology
+from .cohomology import Sum, _Value, _frozen, line_cohomology
 from .errors import EmptyBundle
 from .scroll import ZERO, DivisorClass, Scroll
 
@@ -219,14 +222,6 @@ def _nonzero(b, message: str) -> BundleExpr:
     return b
 
 
-def _check_interval(lo0: int, hi0: int, lo1: int, hi1: int, lo2: int, hi2: int, chi: int) -> None:
-    for i, lo, hi in ((0, lo0, hi0), (1, lo1, hi1), (2, lo2, hi2)):
-        if not 0 <= lo <= hi:
-            raise ValueError(f"degree {i}: need 0 <= lo <= hi")
-    if not (lo0 - hi1 + lo2 <= chi <= hi0 - lo1 + hi2):
-        raise ValueError("chi falls outside the interval alternating sum")
-
-
 class IntervalCohom(
     NamedTuple("IntervalCohom", [(name, int) for name in ("lo0", "hi0", "lo1", "hi1", "lo2", "hi2", "chi")])
 ):
@@ -238,7 +233,7 @@ class IntervalCohom(
 
     def __new__(cls, *args, **kwargs) -> IntervalCohom:
         self = super().__new__(cls, *args, **kwargs)
-        _check_interval(*self)
+        cohomology._check_interval(*self)
         return self
 
     def lo(self, i: int) -> int:
@@ -254,8 +249,6 @@ class IntervalCohom(
     def forced_at(self, i: int) -> bool:
         return self.lo(i) == self.hi(i)
 
-
-_Value = tuple[int, int, int, int, int, int, int]  # (lo0, hi0, lo1, hi1, lo2, hi2, chi)
 
 # a compiled tree: the terms of its distinct Sums, its nodes in
 # post-order, each the index of a Sum or _COMBINE for an Ext node, and
@@ -304,36 +297,26 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
     """The interval kernel: one run of a compiled tree for a batch of twists.
 
     In a tree with an Ext node, a twist where no class has h^1 is
-    forced: it takes the direct sum's value from Riemann-Roch over the
-    program's h-groups (`cohomology.h1_free_direct_sums`) and reads no
-    leaf.  The other twists are read in one call of the leaf reader,
-    `cohomology._sum_values`: the exact value of each distinct Sum at
-    each of them, checked there.  The program then runs, every node
-    carrying one plain (lo0, hi0, lo1, hi1, lo2, hi2, chi) tuple per
-    twist: an Ext node combines its children twist by twist through the
-    long exact sequence bounds.  Both steps keep the invariants (module
-    docstring).  Values come back in the order of `twists`.
+    forced: `cohomology.h1_free_direct_sums` gives the direct sum's value
+    there from Riemann-Roch over the program's h-groups, reading no
+    leaf, and None at the other twists.  Those take one call of the leaf
+    reader, `cohomology._sum_values`: the exact value of each distinct
+    Sum at each of them, checked there.  The program then runs, an Ext
+    node combining its children twist by twist through the long exact
+    sequence bounds, and the root's values fill the None places in
+    order.  Every value is one plain `_Value` tuple
+    (lo0, hi0, lo1, hi1, lo2, hi2, chi), and both steps keep the
+    invariants (module docstring).
     """
     sums, ops, groups = program
     a0, a1 = s.a0, s.a1
-    lone = len(ops) == 1  # no combine for the forced shortcut to skip
-    forced = []  # (position in twists, direct-sum value)
-    if not lone:
-        unforced = []
-        for k, t in enumerate(cohomology.h1_free_direct_sums(a0, a1, groups, twists)):
-            if t is None:
-                unforced.append(twists[k])
-            else:
-                t0, t2 = t
-                forced.append((k, (t0, t0, 0, 0, t2, t2, t0 + t2)))
-        if not unforced:
-            return [v for _, v in forced]
-        twists = unforced
-    # each Sum's value, len(sums) to a twist: exact, so lo = hi and chi
-    # is the alternating sum
-    flat = [(h0, h0, h1, h1, h2, h2, h0 - h1 + h2) for h0, h1, h2 in cohomology._sum_values(a0, a1, sums, twists)]
-    if lone:
-        return flat
+    if len(ops) == 1:  # a lone Sum: no combine for the forced test to skip
+        return cohomology._sum_values(a0, a1, sums, twists)
+    out = cohomology.h1_free_direct_sums(a0, a1, groups, twists)
+    unforced = [t for t, v in zip(twists, out) if v is None]
+    if not unforced:
+        return out
+    flat = cohomology._sum_values(a0, a1, sums, unforced)
     m = len(sums)
     values: list[list[_Value]] = []
     for op in ops:
@@ -355,11 +338,9 @@ def _walk(s: Scroll, program: _Program, twists: Sequence[DivisorClass]) -> list[
             lo2 = lo2 + ql2 if lo2 > 0 else ql2
             combined.append((lo0, sh0 + qh0, lo1, sh1 + qh1, lo2, sh2 + qh2, schi + qchi))
         values.append(combined)
-    out = values[0]
-    # in increasing position, so each lands where it belongs
-    for k, v in forced:
-        out.insert(k, v)
-    return out
+    # the root's values fill the unforced positions, in order
+    fill = iter(values[0])
+    return [v or next(fill) for v in out]
 
 
 def extension_cohomology(s: Scroll, b, twist: DivisorClass = ZERO) -> IntervalCohom:
@@ -425,9 +406,10 @@ class _Evaluator:
             probes.append(tuple.__new__(Probe, (name, tw, v[2 * degree], v[2 * degree + 1])))
         return tuple(probes)
 
-    def classes_values(self, twists: Sequence[DivisorClass]) -> list[tuple[int, int, int]]:
-        """The exact (h0, h1, h2) of the direct sum of `classes`, each
-        once, at each of `twists`: one call of the leaf reader, no walk."""
+    def classes_values(self, twists: Sequence[DivisorClass]) -> list[_Value]:
+        """The exact value of the direct sum of `classes`, each once, at
+        each of `twists`, h^i at places 2i and 2i + 1: one call of the
+        leaf reader, no walk."""
         return cohomology._sum_values(self.s.a0, self.s.a1, (tuple((d, 1) for d in self.classes),), twists)
 
     def probes(self, plan: Iterable[tuple[str, DivisorClass, int]]) -> Iterator[Probe]:

@@ -82,7 +82,7 @@ def reg(s: Scroll, b) -> int | Verdict:
     evaluator = _evaluator(s, b)
     r = max(line_bundle_reg(s, d) for d in evaluator.classes)
     plan = _probe_plan(s, r, 0)
-    if any(v[degree] for v, (_, _, degree) in zip(evaluator.classes_values([tw for _, tw, _ in plan]), plan)):
+    if any(v[2 * degree] for v, (_, _, degree) in zip(evaluator.classes_values([tw for _, tw, _ in plan]), plan)):
         raise AssertionError("the direct sum's regularity failed to certify the class")
     if isinstance(b, Ext) and _judge(evaluator.read(_probe_plan(s, r - 1, 0))).verdict is Verdict.INDETERMINATE:
         return Verdict.INDETERMINATE

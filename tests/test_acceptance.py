@@ -41,9 +41,9 @@ from scrollcalc import (
     twist_rectangle,
     validate_arrangement,
 )
-from scrollcalc.harness import random_sum_bundle, run_split_harness
 
 from conftest import TEST_SCROLLS
+from split_harness import random_sum_bundle, run_split_harness
 
 GOLDEN = Path(__file__).parent / "golden"
 

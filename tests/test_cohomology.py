@@ -13,6 +13,7 @@ import reference_p1
 from scrollcalc import (
     DivisorClass,
     Ext,
+    IntervalCohom,
     Scroll,
     Sum,
     UnsupportedCurveClass,
@@ -199,15 +200,16 @@ counted_sums = st.lists(st.tuples(divisors, st.integers(1, 10**6)), max_size=4).
 @given(scrolls, st.lists(counted_sums, max_size=4), st.lists(divisors, max_size=5))
 def test_sum_values_match_the_per_class_reference(s, sums, twists):
     # h and the twist's h each range over -9..9, so the twisted h' takes
-    # both sides of the duality branch and -1 alike
+    # both sides of the duality branch and -1 alike; each value comes in
+    # the Ext kernel's shape, exact: lo = hi in each degree, and chi
     want = []
     for th, tf in twists:
         for terms in sums:
-            value = [0, 0, 0]
-            for (h, f), n in terms:
-                for i, v in enumerate(reference_line(s, h + th, f + tf)):
-                    value[i] += n * v
-            want.append(tuple(value))
+            h = [0, 0, 0]
+            for (dh, df), n in terms:
+                for i, v in enumerate(reference_line(s, dh + th, df + tf)):
+                    h[i] += n * v
+            want.append((h[0], h[0], h[1], h[1], h[2], h[2], h[0] - h[1] + h[2]))
     assert cohomology._sum_values(s.a0, s.a1, sums, twists) == want
 
 
@@ -270,11 +272,17 @@ def test_leaves_are_read_only_through_the_reader(monkeypatch):
 def test_a_negative_leaf_fails_alike_on_every_path(monkeypatch, path, degree):
     # each path looks O(0,-1) up on S(1,2): the walks at twist 0, which
     # is unforced for the Ext since O(0,-2) has h^1 = 1 there, and reg at
-    # the twist (0,-1) of its probe h1(E(-f)) at r = 0
+    # the twist (0,-1) of its probe h1(E(-f)) at r = 0.  Each fails
+    # through the one check of IntervalCohom, with its message: an
+    # IntervalCohom built directly from the same exact value fails alike
     real = cohomology._line_cohomology
     bad = tuple(-1 if i == degree else 0 for i in range(3))
     monkeypatch.setattr(
         cohomology, "_line_cohomology", lambda a0, a1, h, f: bad if (h, f) == (0, -1) else real(a0, a1, h, f)
     )
-    with pytest.raises(ValueError, match=rf"^degree {degree}: need 0 <= lo <= hi$"):
+    with pytest.raises(ValueError, match=rf"^degree {degree}: need 0 <= lo <= hi$") as failed:
         path(Scroll(1, 2))
+    h0, h1, h2 = bad
+    with pytest.raises(ValueError) as direct:
+        IntervalCohom(h0, h0, h1, h1, h2, h2, h0 - h1 + h2)
+    assert str(direct.value) == str(failed.value)

@@ -413,6 +413,26 @@ def test_forced_twists_take_the_direct_sum(s, b, rectangle, kind):
         assert iv.forced and (iv.lo0, iv.lo1, iv.lo2, iv.chi) == (h.h0, h.h1, h.h2, h.chi)
 
 
+@seed(20261025)
+@settings(max_examples=150, deadline=None)
+@given(scrolls, exprs(4).filter(lambda b: type(b) is Ext), rectangles, st.data())
+def test_walk_puts_each_value_at_its_twist(s, b, rectangle, data):
+    # one batch of forced and unforced twists, shuffled and with repeats:
+    # the walk fills the unforced positions from the combine in order, so
+    # each position holds what a walk of its twist alone returns
+    hlo, wh, flo, wf = rectangle
+    cells = list(twist_rectangle((hlo, hlo + wh - 1), (flo, flo + wf - 1)))
+    forced = [t for t in cells if forced_twist(s, b, t)]
+    unforced = [t for t in cells if t not in forced]
+    assume(forced and unforced)
+    picks = data.draw(st.lists(st.sampled_from(forced), min_size=1, max_size=8))
+    picks += data.draw(st.lists(st.sampled_from(unforced), min_size=1, max_size=8))
+    picks += picks[: data.draw(st.integers(1, len(picks)))]
+    batch = data.draw(st.permutations(picks))
+    program = extensions._compile(b)
+    assert extensions._walk(s, program, batch) == [extensions._walk(s, program, (t,))[0] for t in batch]
+
+
 # the test scrolls and two unbalanced ones
 DIFFERENTIAL_SCROLLS = TEST_SCROLLS + (Scroll(1, 50), Scroll(3, 40))
 
@@ -441,7 +461,8 @@ def near_the_h1_boundary(draw):
 def test_h_groups_agree_with_the_sym_route(case):
     # two independent routes: the h-groups' forced test and Riemann-Roch
     # terms, against forced_twist and the direct sum read off the Sym
-    # route leaf by leaf; the batch matches the recursive reference at
+    # route leaf by leaf, in the kernel's value shape, which is what the
+    # walk returns there; the batch matches the recursive reference at
     # forced and unforced twists alike
     s, b, twists = case
     groups = cohomology.h_groups((d, 1) for d in b.leaves())
@@ -450,8 +471,8 @@ def test_h_groups_agree_with_the_sym_route(case):
         assert (forced is not None) == forced_twist(s, b, t)
         if forced is not None:
             h = sum_cohomology(s, direct, t)
-            assert forced == (h.h0, h.h2)
-            assert extension_cohomology(s, b, t) == (h.h0, h.h0, 0, 0, h.h2, h.h2, h.chi)
+            assert forced == (h.h0, h.h0, 0, 0, h.h2, h.h2, h.chi)
+            assert extension_cohomology(s, b, t) == forced
     got = [as_reference(iv) for _, iv in extension_cohomology_stream(s, b, twists)]
     assert got == [reference_cohomology(s, b, t) for t in twists]
 
@@ -513,16 +534,17 @@ def test_lone_sum_checks_its_leaf_at_an_unforced_twist(monkeypatch):
 
 def test_stream_checks_each_value_once(monkeypatch):
     # the 40-node chain of the table golden over its 16 x 16 rectangle:
-    # no Sum value is negative, and the walk leaves the check of Sum
-    # values to the leaf reader, so _check_interval is called for none,
-    # and wrapping a value in IntervalCohom does not check it again
+    # no Sum value is negative, and the leaf reader calls
+    # _check_interval, which lives beside it in cohomology, only for a
+    # negative entry, so it is called for none, and wrapping a value in
+    # IntervalCohom does not check it again
     _, scroll, bundle, twists = json.loads((GOLDEN / "table_ext_16x16.json").read_text())[0]["argv"]
     assert (scroll, twists) == ("--scroll=1,2", "--twists=-8:7,-8:7")
     s, b = Scroll(1, 2), parse_bundle_spec(bundle.removeprefix("--bundle="))
     rectangle = twist_rectangle((-8, 7), (-8, 7))
     calls = []
-    real = extensions._check_interval
-    monkeypatch.setattr(extensions, "_check_interval", lambda *v: calls.append(v) or real(*v))
+    real = cohomology._check_interval
+    monkeypatch.setattr(cohomology, "_check_interval", lambda *v: calls.append(v) or real(*v))
     got = list(extension_cohomology_stream(s, b, rectangle))
     assert len(got) == 256 and all(type(iv) is IntervalCohom for _, iv in got)
     assert calls == []

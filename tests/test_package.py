@@ -1,5 +1,6 @@
 """The package's exported names."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import scrollcalc
-from scrollcalc import cohomology, extensions, logbundles, regularity, scroll
+from scrollcalc import cohomology, extensions, harness, logbundles, regularity, scroll
 
 # names deleted because another name already does their job
 DELETED = (
@@ -26,6 +27,13 @@ DELETED = (
     (scrollcalc, "sym_decompose"),
     (scrollcalc, "p1_cohomology"),
     (scrollcalc, "NegativeSymPower"),
+    # the seeded splitting sweep, used by tests alone, lives in
+    # tests/split_harness.py
+    (harness, "random_sum_bundle"),
+    (harness, "SplitHarnessReport"),
+    (harness, "run_split_harness"),
+    # the one check of kernel values lives beside the leaf reader
+    (extensions, "_check_interval"),
 )
 
 
@@ -59,6 +67,19 @@ def test_import_loads_no_heavy_modules():
     loaded = set(done.stdout.split())
     assert "scrollcalc.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast"}
+
+
+def test_src_imports_neither_dataclasses_nor_random():
+    # the test-only sweep took them to tests/split_harness.py
+    for path in Path(scrollcalc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module or ""}
+            else:
+                continue
+            assert not names & {"dataclasses", "random"}, path.name
 
 
 def test_deleted_methods_are_gone():

@@ -196,11 +196,11 @@ def reference_certifies(s, b, p):
 def leaf_certifies(s, b, p):
     """reg's route to its certificate: each probe's degree vanishes on
     the direct sum of the tree's distinct classes at the probe's twist,
-    read in one call of the leaf reader."""
+    read in one call of the leaf reader, in the kernel's value shape."""
     evaluator = extensions._evaluator(s, b)
     plan = regularity._probe_plan(s, p, 0)
     values = evaluator.classes_values([tw for _, tw, _ in plan])
-    return all(v[degree] == 0 for v, (_, _, degree) in zip(values, plan, strict=True))
+    return all(v[2 * degree] == 0 for v, (_, _, degree) in zip(values, plan, strict=True))
 
 
 @seed(20261020)

@@ -35,17 +35,12 @@ from scrollcalc import (
     violating_twists,
 )
 from scrollcalc import extensions, splitting
-from scrollcalc.harness import (
-    brute_force_violations,
-    random_sum_bundle,
-    run_split_harness,
-    splits_into_h_twists,
-    splits_into_three_types,
-)
+from scrollcalc.harness import brute_force_violations, splits_into_h_twists, splits_into_three_types
 from scrollcalc.extensions import BATCH_BOUND
 from scrollcalc.splitting import acm3_families, th_families
 
 from conftest import TEST_SCROLLS
+from split_harness import random_sum_bundle, run_split_harness
 
 scrolls = st.sampled_from(TEST_SCROLLS)
 divisors = st.builds(
