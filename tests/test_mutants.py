@@ -2,6 +2,7 @@
 mutants: that takes a minute, and CI runs it as its own step."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -28,16 +29,30 @@ def test_a_stale_mutant_stops_the_gate_before_any_run(monkeypatch, capsys):
     gone = mutants.Mutant("gone", "src/scrollcalc/extensions.py", "no such text", "", ("tests/test_scroll.py",), "-")
     monkeypatch.setattr(mutants, "MUTANTS", mutants.MUTANTS + (gone,))
     monkeypatch.setattr(mutants, "run", lambda m: pytest.fail(f"{m.name} was run"))
-    assert mutants.main([]) == 2
+    assert mutants.main() == 2
     assert capsys.readouterr().err == (
         "stale mutant gone (-): its old text occurs 0 times in src/scrollcalc/extensions.py, not once\n"
     )
-    assert mutants.main(["no-such-mutant"]) == 2
 
 
 def test_a_survivor_fails_the_gate(monkeypatch, capsys):
-    monkeypatch.setattr(mutants, "run", lambda m: (m.name != "forced-values-at-the-end", 0.0))
-    assert mutants.main([]) == 1
+    monkeypatch.setattr(mutants, "run", lambda m: (int(m.name != "forced-values-at-the-end"), "", 0.0))
+    assert mutants.main() == 1
     out = capsys.readouterr().out
     assert "SURVIVED  forced-values-at-the-end" in out
     assert f"{len(mutants.MUTANTS) - 1} of {len(mutants.MUTANTS)} mutants killed" in out
+
+
+def test_a_pytest_error_is_not_a_kill(monkeypatch, capsys):
+    # exit 5: pytest collected no tests, so nothing has failed
+    def no_tests(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 5, stdout="collected 0 items\nno tests ran in 0.01s\n")
+
+    monkeypatch.setattr(mutants.subprocess, "run", no_tests)
+    assert mutants.main() == 2
+    captured = capsys.readouterr()
+    assert "killed" not in captured.out
+    first = mutants.MUTANTS[0].name
+    assert captured.err == (
+        f"error: pytest exited 5 on mutant {first}, not 0 or 1:\ncollected 0 items\nno tests ran in 0.01s\n"
+    )

@@ -1,26 +1,28 @@
 #!/usr/bin/env python3
 """Replay the committed mutants of the interval kernel against the tests.
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
 Run from anywhere; the checkout is the parent of this file's folder and
 is never written.  Each mutant in MUTANTS names a file under src/, an
 exact old text that occurs in it once, the new text that replaces it,
 the test files that must kill it, and the commit whose checks it comes
-from.  For each mutant (or each NAME given), `src/`, `tests/`,
-`pyproject.toml` and `README.md` are copied into a temporary directory, the mutant is applied there, and
+from.  For each mutant, `src/`, `tests/` and `pyproject.toml` are copied
+into a temporary directory, the mutant is applied there, and
 `python -m pytest -x -q` runs on its test files with that copy's `src/`
-first on the path.  A failing run kills the mutant; a passing one lets
-it survive.
+first on the path.  Pytest's exit 1 (a test failed) kills the mutant and
+exit 0 lets it survive; any other exit (a collection or usage error, no
+tests collected) is an error of the gate, never a kill.
 
 An old text that does not occur exactly once is stale: the tool stops
 before running anything and names the mutant.  Re-anchor it to today's
 code, or retire it with the change that removed its target; never drop
-it silently.  A mutant that survives stays in the list until a test
-kills it.
+it silently.  Every committed mutant must be killed: a change that adds
+a mutant which survives adds the test that kills it too.  An equivalent
+mutant, which no test can kill, is not committed.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when
-one is stale or a NAME is unknown.
+one is stale or pytest ends in error on one.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ import time
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# beside src/ and tests/: pytest's settings, and the README whose CLI
-# examples test_cli.py runs
-COPIED_FILES = ("pyproject.toml", "README.md")
+# beside src/ and tests/: pytest's settings
+COPIED_FILES = ("pyproject.toml",)
 
 
 class Mutant(NamedTuple):
@@ -139,8 +140,8 @@ def stale(mutant: Mutant) -> str | None:
     return None
 
 
-def run(mutant: Mutant) -> tuple[bool, float]:
-    """(killed, seconds) of the mutant's tests on a mutated copy."""
+def run(mutant: Mutant) -> tuple[int, str, float]:
+    """(pytest's exit status, its output, seconds) on a mutated copy."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         for folder in ("src", "tests"):
             shutil.copytree(
@@ -158,30 +159,31 @@ def run(mutant: Mutant) -> tuple[bool, float]:
         env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"), PYTHONDONTWRITEBYTECODE="1")
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
         start = time.perf_counter()
-        done = subprocess.run(argv, cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        return done.returncode != 0, time.perf_counter() - start
+        done = subprocess.run(
+            argv, cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
+        )
+        return done.returncode, done.stdout, time.perf_counter() - start
 
 
-def main(names: list[str]) -> int:
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [known[n] for n in names] if names else list(MUTANTS)
-    problems = [(m, why) for m in chosen if (why := stale(m))]
+def main() -> int:
+    problems = [(m, why) for m in MUTANTS if (why := stale(m))]
     for m, why in problems:
         print(f"stale mutant {m.name} ({m.origin}): {why}", file=sys.stderr)
     if problems:
         return 2
     survived = 0
-    for m in chosen:
-        killed, seconds = run(m)
-        survived += not killed
-        print(f"{'killed' if killed else 'SURVIVED':8}  {m.name}  ({seconds:.1f} s, {', '.join(m.tests)})", flush=True)
-    print(f"{len(chosen) - survived} of {len(chosen)} mutants killed")
+    for m in MUTANTS:
+        status, output, seconds = run(m)
+        if status not in (0, 1):
+            tail = "\n".join(output.splitlines()[-20:])
+            print(f"error: pytest exited {status} on mutant {m.name}, not 0 or 1:\n{tail}", file=sys.stderr)
+            return 2
+        survived += status == 0
+        verdict = "SURVIVED" if status == 0 else "killed"
+        print(f"{verdict:8}  {m.name}  ({seconds:.1f} s, {', '.join(m.tests)})", flush=True)
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
