@@ -1,26 +1,29 @@
 """Command line front end.
 
-Every subcommand handler takes the parsed arguments, the scroll and the
-parsed `--bundle` (None for commands without one) and returns one
-result: the JSON object and the lines of the plain form.  `main` builds
-the scroll and the bundle, calls the handler and prints the result,
-one JSON line under `--json` and the plain lines otherwise; it is the
-only place that writes to stdout.  `table` has no JSON form: it returns
-None and a lazy iterator of CSV text: the header, then one chunk of
-rows per batch of `extensions.BATCH_BOUND` twists, formatted from the
-values of one walk of the tree compiled once and printed by one call,
-so memory does not grow with the width of `--twists`.
+Each subcommand handler takes the parsed arguments, the scroll and the
+parsed `--bundle` (None for commands without one) and returns the JSON
+object and the plain lines of its result; `main` prints one or the
+other, and is the only place that writes to stdout.
 
-A handler describes its result once and `_render` writes both forms:
-the JSON envelope `{"scroll", "input", <result fields>, "witnesses",
-"flags"}`, and the plain lines, one `key: value` per result field in
-order, then one line per witness (a witness is a pair of its JSON object
-and its plain line), then one `key: value` per flag (a split verdict's
-`note`, `log`'s `supported` and `formula_only`).  Fields that are None
-are left out of both, and a value that is not a string prints as its
-JSON text.  `cohomology` and `table` keep shapes of their own; `ext1`,
-`log-check` and `classify-log` keep their own plain lines, and take
-their JSON from `_render`.
+The decision subcommands are the rows of one table, `_DECISIONS`, all
+run by `_cmd_decision`.  A row holds the name, help and API call, which
+returns the record `ProbeVerdict`; the verdict's words; the result field
+that prints the record's value, and how; the witness format, or none
+(`regularity` prints its refuting probe among its probe lines); the
+probe lines' label, and whether they print on INDETERMINATE only; and
+the integer options, which the input echoes.
+
+`_render` writes both forms: the JSON envelope `{"scroll", "input",
+<result fields>, "witnesses", "flags"}`, and as plain lines one
+`key: value` per result field in order, one line per witness (a pair of
+its JSON object and plain line) and one `key: value` per flag (a split
+verdict's `note`, `log`'s `supported` and `formula_only`).  Fields that
+are None are left out of both, and a value that is not a string prints
+as its JSON text.  `ext1`, `log-check` and `classify-log` print plain
+lines of their own.  `cohomology` has its own JSON and `table` none: it
+returns a lazy iterator of CSV chunks, the header and then the rows of
+`extensions.BATCH_BOUND` twists at a time from one walk of the tree
+compiled once, so memory does not grow with the width of `--twists`.
 
 Exit codes: 0 when a result was computed (negative and indeterminate
 verdicts included), 2 for usage or bundle-spec parse errors, 3 for
@@ -39,17 +42,14 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 from .bundlespec import format_bundle, parse_bundle_spec
 from .cohomology import line_cohomology
 from .errors import ParseError, RankMismatch, ScrollCalcError
 from .extensions import Probe, Sum, Verdict, _batches, ext1_dim
-from .logbundles import (
-    classify_regular_acm_log,
-    log_splitting_type,
-    residue_consistency,
-    validate_arrangement,
-)
+from .logbundles import classify_regular_acm_log, log_splitting_type, residue_consistency, validate_arrangement
 from .regularity import is_pp_regular, reg
 from .scroll import DivisorClass, Scroll, twist_rectangle
 from .splitting import (
@@ -66,6 +66,7 @@ from .splitting import (
 # reports for a writer killed by the signal
 EXIT_BROKEN_PIPE = 141
 
+_WORDS = {v: v.value for v in Verdict}
 _SPLIT_WORDS = {Verdict.TRUE: "splits", Verdict.FALSE: "fails", Verdict.INDETERMINATE: "indeterminate"}
 
 
@@ -131,53 +132,56 @@ def _cmd_table(args, s, b):
     return None, chunks()
 
 
-def _cmd_regularity(args, s, b):
-    report = is_pp_regular(s, b, args.p, args.pp)
-    r = reg(s, b)
-    given = {"bundle": format_bundle(b), "p": args.p, "pp": args.pp}
-    witnesses = [_probe_pair(p, "probe") for p in report.probes]
-    return _render(s, given, witnesses, verdict=report.verdict.value, reg=r if isinstance(r, int) else r.value)
+# a witness probe as its JSON object and plain line, by a row's format
+_WITNESS = {
+    "split": lambda w: ({"condition": w.name, "t": w.twist.h, "value": w.lo},
+                        f"witness: {w.name} at t = {w.twist.h}, value {w.lo}"),
+    "acm": lambda w: ({"t": w.twist.h, "value": w.lo}, f"witness: t = {w.twist.h}, h1 = {w.lo}"),
+    "probe": lambda w: _probe_pair(w, "witness"),
+}
 
 
-def _cmd_split(s, b, decide):
-    verdict = decide(s, b)
-    witnesses = []
-    if verdict.failure is not None:
-        w = verdict.failure
-        line = f"witness: {w.name} at t = {w.twist.h}, value {w.lo}"
-        witnesses.append(({"condition": w.name, "t": w.twist.h, "value": w.lo}, line))
-    witnesses += (_probe_pair(p, "unresolved") for p in verdict.probes)
-    splitting = format_bundle(verdict.witness) if verdict.witness is not None else None
-    flags = {"note": verdict.note} if verdict.note else None
-    return _render(s, format_bundle(b), witnesses, flags, verdict=_SPLIT_WORDS[verdict.outcome], splitting=splitting)
+class _Decision(NamedTuple):
+    """A decision subcommand: one row of `_DECISIONS`, run by `_cmd_decision`."""
+
+    name: str
+    help: str
+    call: Callable  # (scroll, bundle, *options) -> ProbeVerdict
+    value: tuple | None = None  # (result field, printer) of the record's value
+    witness: str | None = None  # a key of _WITNESS
+    words: dict = _WORDS  # verdict -> the word it prints as
+    label: str = "unresolved"  # of each carried probe's line
+    undecided_probes_only: bool = False  # print the probes on INDETERMINATE alone
+    options: tuple[str, ...] = ()  # integer options, default 0, echoed in the input
 
 
-def _cmd_summand(args, s, b):
-    result = detect_line_summand(s, b)
-    witnesses = [_probe_pair(result.witness, "witness")] if result.witness is not None else []
-    witnesses += (_probe_pair(p, "probe") for p in result.probes)
-    summand = str(result.summand) if result.summand is not None else None
-    return _render(s, format_bundle(b), witnesses, verdict=result.verdict.value, summand=summand)
+# the value, witness format and words of both split rows
+_SPLIT = (("splitting", format_bundle), "split", _SPLIT_WORDS)
+_DECISIONS = (
+    _Decision("regularity", "regularity test and least regular h-twist",  # reg's int or Verdict rides in value
+              lambda s, b, p, pp: is_pp_regular(s, b, p, pp)._replace(value=reg(s, b)),
+              ("reg", lambda r: r.value if isinstance(r, Verdict) else r), label="probe", options=("p", "pp")),
+    _Decision("split-h", "does the bundle split into h-twists of O", decide_split_tH, *_SPLIT),
+    _Decision("split-acm", "does it split into twists of O, O(f), O(H-f)", decide_split_acm3, *_SPLIT),
+    _Decision("summand", "detect a distinguished line summand of a regular bundle", detect_line_summand,
+              ("summand", str), "probe", label="probe"),
+    _Decision("acm", "is h^1(E(tH)) = 0 for every t", is_acm, witness="acm"),
+    _Decision("ulrich", "do all h^i(E(-H)) and h^i(E(-2H)) vanish", is_ulrich, witness="probe",
+              undecided_probes_only=True),
+)
 
 
-def _cmd_acm(args, s, b):
-    result = is_acm(s, b)
-    witnesses = []
-    if result.witness is not None:
-        w = result.witness
-        witnesses.append(({"t": w.twist.h, "value": w.lo}, f"witness: t = {w.twist.h}, h1 = {w.lo}"))
-    witnesses += (_probe_pair(p, "unresolved") for p in result.probes)
-    return _render(s, format_bundle(b), witnesses, verdict=result.verdict.value)
-
-
-def _cmd_ulrich(args, s, b):
-    result = is_ulrich(s, b)
-    witnesses = []
-    if result.witness is not None:
-        witnesses = [_probe_pair(result.witness, "witness")]
-    elif result.verdict is Verdict.INDETERMINATE:
-        witnesses = [_probe_pair(p, "unresolved") for p in result.probes]
-    return _render(s, format_bundle(b), witnesses, verdict=result.verdict.value)
+def _cmd_decision(row: _Decision, args, s, b):
+    options = {name: getattr(args, name) for name in row.options}
+    r = row.call(s, b, *options.values())
+    witnesses = [_WITNESS[row.witness](r.witness)] if row.witness and r.witness is not None else []
+    if not row.undecided_probes_only or r.verdict is Verdict.INDETERMINATE:
+        witnesses += (_probe_pair(p, row.label) for p in r.probes)
+    fields = {"verdict": row.words[r.verdict]}
+    if row.value and r.value is not None:
+        fields[row.value[0]] = row.value[1](r.value)
+    given = {"bundle": format_bundle(b), **options} if options else format_bundle(b)
+    return _render(s, given, witnesses, {"note": r.note} if r.note else None, **fields)
 
 
 def _cmd_ulrich_make(args, s, b):
@@ -260,15 +264,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("table", _cmd_table, "CSV sweep of h^i over a twist rectangle", bundle=True, json_flag=False)
     p.add_argument("--twists", type=_twist_ranges, default=((-2, 2), (-3, 3)), metavar="HMIN:HMAX,FMIN:FMAX")
 
-    p = add("regularity", _cmd_regularity, "regularity test and least regular h-twist", bundle=True)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--pp", type=int, default=0)
-
-    add("split-h", lambda a, s, b: _cmd_split(s, b, decide_split_tH), "does the bundle split into h-twists of O", bundle=True)
-    add("split-acm", lambda a, s, b: _cmd_split(s, b, decide_split_acm3), "does it split into twists of O, O(f), O(H-f)", bundle=True)
-    add("summand", _cmd_summand, "detect a distinguished line summand of a regular bundle", bundle=True)
-    add("acm", _cmd_acm, "is h^1(E(tH)) = 0 for every t", bundle=True)
-    add("ulrich", _cmd_ulrich, "do all h^i(E(-H)) and h^i(E(-2H)) vanish", bundle=True)
+    for row in _DECISIONS:
+        p = add(row.name, functools.partial(_cmd_decision, row), row.help, bundle=True)
+        for name in row.options:
+            p.add_argument(f"--{name}", type=int, default=0)
 
     p = add("ulrich-make", _cmd_ulrich_make, "build an Ulrich bundle from block counts")
     p.add_argument("--a", type=int, required=True, help="number of O(H-f) blocks")

@@ -56,8 +56,9 @@ Leaf values are read only at unforced twists, and checked once, by the
 reader, against the `IntervalCohom` invariants of `_check_interval`
 (0 <= lo_i <= hi_i, chi inside the alternating-sum range), which lives
 beside it in `cohomology`, and with its message.  Being exact, a Sum
-value fails them only through a negative entry.  What is built from valid values needs no check: each clamped
-term above is at most the matching child's hi; chi stays in range
+value fails them only through a negative entry.  What is built from
+valid values needs no check: each clamped term above is at most the
+matching child's hi; chi stays in range
 because max(lo_0(quot) - hi_1(sub), 0) + max(lo_2(sub) - hi_1(quot), 0)
 is at most lo_2(sub) + lo_0(quot), and lo_1 at most
 lo_1(sub) + lo_1(quot).  A forced value (t0, t0, 0, 0, t2, t2, t0 + t2)
@@ -89,8 +90,9 @@ scans' violating intervals read instead of walking the tree again.  A
 fixed plan, such as regularity's three probes, reg's three at r - 1 or
 Ulrich's six, is one `read`; a lazy scan, `probes`, reads 1, 2, 4, ...
 entries at a time, capped at BATCH_BOUND (256), and stopping at its
-k-th probe has evaluated at most min(2k - 1, k + 255) entries.  Probes and verdicts
-are built with `tuple.__new__`, past their NamedTuple's `__new__`.
+k-th probe has evaluated at most min(2k - 1, k + 255) entries.  Every
+decision returns one record, `ProbeVerdict`, built at full arity with
+`tuple.__new__`, past its NamedTuple's `__new__`, as probes are.
 """
 
 from __future__ import annotations
@@ -132,14 +134,23 @@ class Probe(NamedTuple):
 
 
 class ProbeVerdict(NamedTuple):
-    """A verdict read off probes: FALSE carries the refuting probe as its
-    witness.  A fixed plan carries every probe it read (regularity
-    always, Ulrich on TRUE or FALSE); a scan, and Ulrich on
-    INDETERMINATE, carries the unresolved probes."""
+    """The record of every decision.  `witness` is the refuting probe of
+    a FALSE verdict or the cause probe of a found summand, else None;
+    `probes` are a fixed plan's probes (regularity always, Ulrich on
+    TRUE or FALSE), a found summand's auxiliaries, or else the
+    unresolved ones; `value` is a split's summands, as one Sum, or the
+    summand found; `note` says why an INDETERMINATE has no probes."""
 
     verdict: Verdict
     witness: Probe | None = None
     probes: tuple[Probe, ...] = ()
+    value: Sum | DivisorClass | None = None
+    note: str = ""
+
+    # the old names that perfbench/workloads.py reads; ROADMAP item 3b,
+    # a benchmark PR, moves it to `verdict` and `value` and drops them
+    outcome = property(itemgetter(0))
+    summand = property(itemgetter(3))
 
 
 class Ext:
@@ -445,12 +456,12 @@ def _judge(probes: Iterable[Probe]) -> ProbeVerdict:
     unresolved = []
     for pr in probes:
         if pr.lo > 0:
-            return tuple.__new__(ProbeVerdict, (Verdict.FALSE, pr, ()))
+            return tuple.__new__(ProbeVerdict, (Verdict.FALSE, pr, (), None, ""))
         if pr.hi > 0:
             unresolved.append(pr)
     if unresolved:
-        return tuple.__new__(ProbeVerdict, (Verdict.INDETERMINATE, None, tuple(unresolved)))
-    return tuple.__new__(ProbeVerdict, (Verdict.TRUE, None, ()))
+        return tuple.__new__(ProbeVerdict, (Verdict.INDETERMINATE, None, tuple(unresolved), None, ""))
+    return tuple.__new__(ProbeVerdict, (Verdict.TRUE, None, (), None, ""))
 
 
 def ext1_dim(s: Scroll, from_: DivisorClass, to: DivisorClass) -> int:

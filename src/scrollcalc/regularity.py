@@ -55,8 +55,8 @@ def is_pp_regular(s: Scroll, b, p: int = 0, pp: int = 0) -> ProbeVerdict:
     resolve one way or the other.
     """
     probes = _evaluator(s, as_bundle_expr(b)).read(_probe_plan(s, p, pp))
-    verdict, witness, _ = _judge(probes)
-    return tuple.__new__(ProbeVerdict, (verdict, witness, probes))
+    verdict, witness, _, _, _ = _judge(probes)
+    return tuple.__new__(ProbeVerdict, (verdict, witness, probes, None, ""))
 
 
 def is_regular(s: Scroll, b) -> ProbeVerdict:

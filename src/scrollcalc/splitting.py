@@ -22,15 +22,16 @@ O((c-1)f)^b by O(H-f)^a; `detect_line_summand` reads a distinguished
 direct summand off the way E(-H) fails regularity.
 
 Each decision reads its probes with the extensions module's one
-vanishing rule, and every failure witness is a `Probe`: the probe's
-name, its twist (t is `twist.h` for the twist families) and `lo`, a
-lower bound on the failing h^i, exact for Sum inputs.
+vanishing rule and returns its one record, `ProbeVerdict`.  Every
+witness is a `Probe`: the probe's name, its twist (t is `twist.h` for
+the twist families) and `lo`, a lower bound on the failing h^i (or the
+firing cause's h^i), exact for Sum inputs.  What a decision finds sits
+in `value`: a split's summands, as one Sum, or the summand's class.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import NamedTuple
 
 from .cohomology import h1_violating_h_twists
 from .errors import EmptyBundle, NegativeCount, NotRegular
@@ -48,23 +49,6 @@ from .extensions import (
 )
 from .regularity import is_regular
 from .scroll import DivisorClass, Scroll
-
-
-class SplitVerdict(NamedTuple):
-    outcome: Verdict  # TRUE = splits, FALSE = fails
-    witness: Sum | None = None  # TRUE: the summands, as one Sum
-    failure: Probe | None = None
-    probes: tuple[Probe, ...] = ()
-    note: str = ""
-
-
-class SummandVerdict(NamedTuple):
-    """TRUE carries the summand found; FALSE means no cause fired."""
-
-    verdict: Verdict
-    summand: DivisorClass | None = None
-    witness: Probe | None = None
-    probes: tuple[Probe, ...] = ()
 
 
 def th_families(s: Scroll) -> tuple[tuple[str, int], ...]:
@@ -134,28 +118,28 @@ def _scan(s: Scroll, b: BundleExpr, families: tuple[tuple[str, int], ...]) -> Pr
     return _judge(evaluator.probes(plan()))
 
 
-def _decide(s: Scroll, b, families) -> SplitVerdict:
+_CLASS_NOTE = "every member splits, but the summand multiset depends on the extension class"
+
+
+def _decide(s: Scroll, b, families) -> ProbeVerdict:
     b = _nonzero(b, "splitting criteria need a bundle of positive rank")
     judged = _scan(s, b, families)
     if judged.verdict is not Verdict.TRUE:
-        return SplitVerdict(judged.verdict, failure=judged.witness, probes=judged.probes)
+        return judged
     # conditions hold for every member of the class; the summand multiset
     # is the leaf multiset exactly when no extension class can be nonzero
     if forced_split(s, b):
         summands = Sum(tuple(t for node in b.sums() for t in node.terms))
-        return SplitVerdict(Verdict.TRUE, witness=summands)
-    return SplitVerdict(
-        Verdict.INDETERMINATE,
-        note="every member splits, but the summand multiset depends on the extension class",
-    )
+        return tuple.__new__(ProbeVerdict, (Verdict.TRUE, None, (), summands, ""))
+    return tuple.__new__(ProbeVerdict, (Verdict.INDETERMINATE, None, (), None, _CLASS_NOTE))
 
 
-def decide_split_tH(s: Scroll, b) -> SplitVerdict:
+def decide_split_tH(s: Scroll, b) -> ProbeVerdict:
     """Decide whether b is a direct sum of h-twists O(t_i H)."""
     return _decide(s, b, th_families(s))
 
 
-def decide_split_acm3(s: Scroll, b) -> SplitVerdict:
+def decide_split_acm3(s: Scroll, b) -> ProbeVerdict:
     """Decide whether b is a sum of h-twists of O, O(f) and O(H-f)."""
     return _decide(s, b, acm3_families(s))
 
@@ -180,9 +164,9 @@ def is_ulrich(s: Scroll, b) -> ProbeVerdict:
     """
     b = _nonzero(b, "the Ulrich test needs a bundle of positive rank")
     probes = _evaluator(s, b).read(_ULRICH_PLAN)
-    verdict, witness, unresolved = _judge(probes)
+    verdict, witness, unresolved, _, _ = _judge(probes)
     carried = unresolved if verdict is Verdict.INDETERMINATE else probes
-    return tuple.__new__(ProbeVerdict, (verdict, witness, carried))
+    return tuple.__new__(ProbeVerdict, (verdict, witness, carried, None, ""))
 
 
 def make_ulrich(s: Scroll, a: int, b: int) -> BundleExpr:
@@ -241,16 +225,19 @@ def _summand_cases(s: Scroll) -> tuple[tuple[str, DivisorClass, int, DivisorClas
     )
 
 
-def detect_line_summand(s: Scroll, b) -> SummandVerdict:
+def detect_line_summand(s: Scroll, b) -> ProbeVerdict:
     """Find a distinguished line summand of a regular bundle.
 
     The probes are the three ways b(-H) can fail the regularity test;
     each failing cause, together with its auxiliary vanishings, certifies
     a summand: the first cause gives O, the second O(f), the third
     O(H-f).  Cases are checked in that order and the first conclusive
-    one wins.  A FALSE verdict means no cause fires, i.e. b(-H) is still
-    regular.  Raises NotRegular unless the input is certified regular,
-    and EmptyBundle on a bundle of rank 0.
+    one wins.  TRUE carries the summand as `value`, the cause as
+    `witness` and the auxiliaries as `probes`; INDETERMINATE carries the
+    causes and auxiliaries that could not be resolved.  A FALSE verdict
+    means no cause fires, i.e. b(-H) is still regular.  Raises
+    NotRegular unless the input is certified regular, and EmptyBundle on
+    a bundle of rank 0.
     """
     b = _nonzero(b, "summand detection needs a bundle of positive rank")
     report = is_regular(s, b)
@@ -268,9 +255,8 @@ def detect_line_summand(s: Scroll, b) -> SummandVerdict:
             continue  # cannot tell whether the cause fires
         aux_probes = evaluator.read(auxiliaries)
         if all(pr.hi == 0 for pr in aux_probes):
-            return SummandVerdict(Verdict.TRUE, summand=summand, witness=cause, probes=aux_probes)
+            return tuple.__new__(ProbeVerdict, (Verdict.TRUE, cause, aux_probes, summand, ""))
         inconclusive.append(cause)
         inconclusive.extend(pr for pr in aux_probes if pr.hi > 0)
-    if inconclusive:
-        return SummandVerdict(Verdict.INDETERMINATE, probes=tuple(inconclusive))
-    return SummandVerdict(Verdict.FALSE)
+    verdict = Verdict.INDETERMINATE if inconclusive else Verdict.FALSE
+    return tuple.__new__(ProbeVerdict, (verdict, None, tuple(inconclusive), None, ""))

@@ -81,11 +81,9 @@ def run_split_harness(
         report.checked += 1
         text = format_bundle(b)
 
-        verdict = decide_split_tH(s, b)
-        if (verdict.outcome is Verdict.TRUE) != splits_into_h_twists(b):
+        if (decide_split_tH(s, b).verdict is Verdict.TRUE) != splits_into_h_twists(b):
             report.th_mismatches.append(text)
-        verdict = decide_split_acm3(s, b)
-        if (verdict.outcome is Verdict.TRUE) != splits_into_three_types(b):
+        if (decide_split_acm3(s, b).verdict is Verdict.TRUE) != splits_into_three_types(b):
             report.acm3_mismatches.append(text)
 
         for offset in offsets:

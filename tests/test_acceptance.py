@@ -109,8 +109,8 @@ def test_criterion_3_splitting_harness():
     # the counterexample: O(2f) on S(1,2) fails at h^1(O(-2H+3f)) = 1
     v = decide_split_acm3(Scroll(1, 2), bundle_sum(DivisorClass(0, 2)))
     witness_ok = (
-        v.outcome is Verdict.FALSE
-        and (v.failure.name, v.failure.twist.h, v.failure.lo)
+        v.verdict is Verdict.FALSE
+        and (v.witness.name, v.witness.twist.h, v.witness.lo)
         == ("h1(E(tH+(a1-1)f))", -2, 1)
         and line_cohomology(Scroll(1, 2), DivisorClass(-2, 3)).h1 == 1
     )
@@ -217,13 +217,13 @@ def test_criterion_6_erratum_regression():
     ok = (
         hyp
         and v.verdict is Verdict.TRUE
-        and v.summand == DivisorClass(0, 1)
-        and v.summand != DivisorClass(1, -1)
+        and v.value == DivisorClass(0, 1)
+        and v.value != DivisorClass(1, -1)
         and v.witness.name == "h1(E(-2H+(c-1)f))"
         and v.witness.lo == 1
     )
     _report(6, "summand detector follows the proof mapping on E = O(f)", ok,
-            f"verdict {v.verdict}, summand {v.summand}")
+            f"verdict {v.verdict}, summand {v.value}")
 
 
 def _run_cli(*argv):

@@ -28,7 +28,6 @@ from scrollcalc import (
     ProbeVerdict,
     Scroll,
     Sum,
-    SummandVerdict,
     Verdict,
     ZERO,
     as_bundle_expr,
@@ -680,9 +679,9 @@ def reference_summand(s, b):
             continue
         aux = reference_probes(s, b, auxiliaries)
         if all(pr.hi == 0 for pr in aux):
-            return SummandVerdict(Verdict.TRUE, DivisorClass(*summand), cause, aux)
+            return ProbeVerdict(Verdict.TRUE, cause, aux, DivisorClass(*summand))
         inconclusive += [cause, *(pr for pr in aux if pr.hi > 0)]
-    return SummandVerdict(Verdict.INDETERMINATE if inconclusive else Verdict.FALSE, probes=tuple(inconclusive))
+    return ProbeVerdict(Verdict.INDETERMINATE if inconclusive else Verdict.FALSE, probes=tuple(inconclusive))
 
 
 def same_record(got, want):
@@ -796,7 +795,7 @@ def test_deep_chain_decides_without_recursion(monkeypatch):
     v = is_acm(s, b)
     assert (v.verdict, v.witness.twist.h, v.witness.lo) == (Verdict.FALSE, 0, 1)
     v = decide_split_tH(s, b)
-    assert (v.outcome, v.failure.twist, v.failure.lo) == (Verdict.FALSE, DivisorClass(0, -1), 10_000)
+    assert (v.verdict, v.witness.twist, v.witness.lo) == (Verdict.FALSE, DivisorClass(0, -1), 10_000)
     assert len(compiled) == 1
 
 

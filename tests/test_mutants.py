@@ -2,7 +2,9 @@
 mutants: that takes a minute, and CI runs it as its own step."""
 
 import importlib.util
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,19 @@ def test_a_pytest_error_is_not_a_kill(monkeypatch, capsys):
     assert captured.err == (
         f"error: pytest exited 5 on mutant {first}, not 0 or 1:\ncollected 0 items\nno tests ran in 0.01s\n"
     )
+
+
+def test_the_gates_copy_collects_every_named_test_file(tmp_path):
+    # test_cli.py reads README.md when it is collected, so a copy without
+    # it would stop the gate with pytest's exit 2 on every mutant naming it
+    mutants.copy_checkout(str(tmp_path))
+    named = sorted({t for m in mutants.MUTANTS for t in m.tests} | {"tests/test_cli.py"})
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *named],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path / "src"), PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

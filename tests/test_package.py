@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import scrollcalc
-from scrollcalc import cohomology, extensions, harness, logbundles, regularity, scroll
+from scrollcalc import cohomology, extensions, harness, logbundles, regularity, scroll, splitting
 
 # names deleted because another name already does their job
 DELETED = (
@@ -34,6 +34,11 @@ DELETED = (
     (harness, "run_split_harness"),
     # the one check of kernel values lives beside the leaf reader
     (extensions, "_check_interval"),
+    # every decision returns the one record, extensions.ProbeVerdict
+    (scrollcalc, "SplitVerdict"),
+    (scrollcalc, "SummandVerdict"),
+    (splitting, "SplitVerdict"),
+    (splitting, "SummandVerdict"),
 )
 
 
@@ -87,6 +92,7 @@ def test_deleted_methods_are_gone():
     assert not hasattr(extensions.IntervalCohom, "exact")
     assert not hasattr(extensions.IntervalCohom, "as_record_tuple")
     assert not hasattr(logbundles.Arrangement, "flags")
+    assert not hasattr(extensions.ProbeVerdict, "failure")
 
 
 def test_leaf_closed_forms_live_in_cohomology():

@@ -16,7 +16,9 @@ from scrollcalc import (
     NegativeCount,
     NotRegular,
     Probe,
+    ProbeVerdict,
     Scroll,
+    Sum,
     Verdict,
     bundle_sum,
     decide_split_acm3,
@@ -31,6 +33,7 @@ from scrollcalc import (
     line_bundle,
     line_cohomology,
     make_ulrich,
+    parse_bundle_spec,
     sum_cohomology,
     violating_twists,
 )
@@ -51,39 +54,39 @@ divisors = st.builds(
 def test_split_h_frozen_examples():
     s = Scroll(1, 2)
     v = decide_split_tH(s, bundle_sum(DivisorClass(0, 0), DivisorClass(2, 0)))
-    assert v.outcome is Verdict.TRUE
-    assert sorted(d.h for d in v.witness.leaves()) == [0, 2]
+    assert v.verdict is Verdict.TRUE
+    assert sorted(d.h for d in v.value.leaves()) == [0, 2]
 
     v = decide_split_tH(s, bundle_sum(DivisorClass(0, 1)))
-    assert v.outcome is Verdict.FALSE
-    assert (v.failure.name, v.failure.twist.h, v.failure.lo) == ("h1(E(tH+(c-1)f))", -2, 1)
+    assert v.verdict is Verdict.FALSE
+    assert (v.witness.name, v.witness.twist.h, v.witness.lo) == ("h1(E(tH+(c-1)f))", -2, 1)
 
     v = decide_split_tH(s, bundle_sum(DivisorClass(1, -1)))
-    assert v.outcome is Verdict.FALSE
-    assert (v.failure.name, v.failure.twist.h, v.failure.lo) == ("h1(E(tH-f))", -1, 1)
+    assert v.verdict is Verdict.FALSE
+    assert (v.witness.name, v.witness.twist.h, v.witness.lo) == ("h1(E(tH-f))", -1, 1)
 
 
 def test_split_acm3_frozen_examples():
     v = decide_split_acm3(
         Scroll(2, 3), bundle_sum(DivisorClass(0, 1), DivisorClass(3, 0), DivisorClass(1, -1))
     )
-    assert v.outcome is Verdict.TRUE
-    assert v.witness.rank() == 3
+    assert v.verdict is Verdict.TRUE
+    assert v.value.rank() == 3
 
     s = Scroll(1, 2)
     v = decide_split_acm3(s, bundle_sum(DivisorClass(0, 2)))
-    assert v.outcome is Verdict.FALSE
-    assert (v.failure.name, v.failure.twist.h, v.failure.lo) == ("h1(E(tH+(a1-1)f))", -2, 1)
+    assert v.verdict is Verdict.FALSE
+    assert (v.witness.name, v.witness.twist.h, v.witness.lo) == ("h1(E(tH+(a1-1)f))", -2, 1)
 
     v = decide_split_acm3(s, bundle_sum(DivisorClass(0, -2)))
-    assert v.outcome is Verdict.FALSE
-    assert (v.failure.name, v.failure.twist.h, v.failure.lo) == ("h1(E(tH))", 0, 1)
+    assert v.verdict is Verdict.FALSE
+    assert (v.witness.name, v.witness.twist.h, v.witness.lo) == ("h1(E(tH))", 0, 1)
 
 
 def test_split_witness_rank_matches_input(scroll):
     b = bundle_sum(DivisorClass(0, 0), DivisorClass(1, 0), DivisorClass(-2, 0))
     v = decide_split_tH(scroll, b)
-    assert v.outcome is Verdict.TRUE and v.witness.rank() == 3
+    assert v.verdict is Verdict.TRUE and v.value.rank() == 3
 
 
 def test_family_twist_offsets(scroll):
@@ -118,8 +121,8 @@ def test_decide_matches_structure(s, seed):
     import random
 
     b = random_sum_bundle(random.Random(seed))
-    assert (decide_split_tH(s, b).outcome is Verdict.TRUE) == splits_into_h_twists(b)
-    assert (decide_split_acm3(s, b).outcome is Verdict.TRUE) == splits_into_three_types(b)
+    assert (decide_split_tH(s, b).verdict is Verdict.TRUE) == splits_into_h_twists(b)
+    assert (decide_split_acm3(s, b).verdict is Verdict.TRUE) == splits_into_three_types(b)
 
 
 def test_seeded_harness_runs_clean(scroll):
@@ -135,7 +138,7 @@ def test_nonsplit_class_yields_indeterminate():
     e = Ext(line_bundle(-1, 1), line_bundle(1, -1))
     assert ext1_dim(s, DivisorClass(1, -1), DivisorClass(-1, 1)) == 1
     v = decide_split_acm3(s, e)
-    assert v.outcome is Verdict.INDETERMINATE
+    assert v.verdict is Verdict.INDETERMINATE
     assert "extension class" in v.note
 
 
@@ -156,7 +159,7 @@ def test_scan_stops_at_first_failure(walks):
     for decide in decisions:
         walks.clear()
         v = decide(s, line_bundle(0, -10**6))
-        assert (v.witness if decide is is_acm else v.failure).lo > 0
+        assert v.witness.lo > 0
         assert walks == [1]
     # on one shared expression, is_acm's witness is the first twist of
     # the three-type scan's first family, offset 0, walked already
@@ -206,7 +209,7 @@ def test_batched_scans_match_twist_by_twist_reference(s, b):
         if verdict is Verdict.TRUE and not forced_split(s, b):
             verdict = Verdict.INDETERMINATE
         v = decide(s, b)
-        assert (v.outcome, v.failure, v.probes) == (verdict, witness, probes)
+        assert (v.verdict, v.witness, v.probes) == (verdict, witness, probes)
 
 
 def test_scan_batches_double_and_walk_each_twist_once(monkeypatch):
@@ -227,7 +230,7 @@ def test_scan_batches_double_and_walk_each_twist_once(monkeypatch):
     monkeypatch.setattr(extensions, "_walk", recording)
     v = decide_split_acm3(s, b)
     distinct = [DivisorClass(t, 0) for lo, hi in violating_twists(s, b, 0) for t in range(lo, hi + 1)]
-    assert v.outcome is Verdict.INDETERMINATE and len(v.probes) == 4 * len(distinct) == 4 * 998
+    assert v.verdict is Verdict.INDETERMINATE and len(v.probes) == 4 * len(distinct) == 4 * 998
     assert BATCH_BOUND == 256
     assert [len(w) for w in walked] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 231]
     assert [t for w in walked for t in w] == distinct
@@ -375,15 +378,15 @@ def test_make_ulrich_vanishing_grids(scroll):
 def test_summand_frozen_examples():
     s = Scroll(1, 2)
     v = detect_line_summand(s, bundle_sum(DivisorClass(0, 0), DivisorClass(0, 1)))
-    assert v.verdict is Verdict.TRUE and v.summand == DivisorClass(0, 0)
+    assert v.verdict is Verdict.TRUE and v.value == DivisorClass(0, 0)
     assert v.witness.name == "h2(E(-2H+(c-2)f))" and v.witness.lo == 1
 
     v = detect_line_summand(s, bundle_sum(DivisorClass(0, 1)))
-    assert v.verdict is Verdict.TRUE and v.summand == DivisorClass(0, 1)
+    assert v.verdict is Verdict.TRUE and v.value == DivisorClass(0, 1)
     assert v.witness.name == "h1(E(-2H+(c-1)f))" and v.witness.lo == 1
 
     v = detect_line_summand(s, bundle_sum(DivisorClass(1, -1)))
-    assert v.verdict is Verdict.TRUE and v.summand == DivisorClass(1, -1)
+    assert v.verdict is Verdict.TRUE and v.value == DivisorClass(1, -1)
     assert v.witness.name == "h1(E(-H-f))" and v.witness.lo == 1
 
 
@@ -397,4 +400,51 @@ def test_summand_none_when_causes_absent():
     # E(-H) regular leaves nothing for the detector to see
     s = Scroll(1, 2)
     v = detect_line_summand(s, bundle_sum(DivisorClass(1, 0)))
-    assert v.verdict is Verdict.FALSE and v.summand is None
+    assert v.verdict is Verdict.FALSE and v.value is None
+
+
+T, F, I = Verdict.TRUE, Verdict.FALSE, Verdict.INDETERMINATE
+# every decision and each outcome it reaches, on S(1,1); split-acm's
+# INDETERMINATE comes from an unresolved probe or from the class's note
+RECORD_CASES = [
+    ("regularity", is_regular, "O(0,0)", T),
+    ("regularity", is_regular, "O(-2,-3)", F),
+    ("regularity", is_regular, "ext(O(-2,2); O(1,0))", I),
+    ("split-h", decide_split_tH, "O(-2,0)", T),
+    ("split-h", decide_split_tH, "O(-2,-3)", F),
+    ("split-h", decide_split_tH, "ext(O(-2,-3); O(-2,3))", I),
+    ("split-acm", decide_split_acm3, "O(-2,-1)", T),
+    ("split-acm", decide_split_acm3, "O(-2,-3)", F),
+    ("split-acm", decide_split_acm3, "ext(O(-2,-3); O(-2,1))", I),
+    ("split-acm-note", decide_split_acm3, "ext(O(-1,1); O(1,-1))", I),
+    ("acm", is_acm, "O(-2,-1)", T),
+    ("acm", is_acm, "O(-2,-3)", F),
+    ("acm", is_acm, "ext(O(-2,-3); O(-2,1))", I),
+    ("ulrich", is_ulrich, "O(0,1)", T),
+    ("ulrich", is_ulrich, "O(-2,-3)", F),
+    ("ulrich", is_ulrich, "ext(O(-2,3); O(1,1))", I),
+    ("summand", detect_line_summand, "O(0,0)", T),
+    ("summand", detect_line_summand, "O(1,0)", F),
+    ("summand", detect_line_summand, "O(0,2)", I),
+]
+
+
+@pytest.mark.parametrize(
+    "decide, spec, verdict", [c[1:] for c in RECORD_CASES], ids=[f"{c[0]}-{c[3].value}" for c in RECORD_CASES]
+)
+def test_every_decision_returns_the_one_record(decide, spec, verdict):
+    r = decide(Scroll(1, 1), parse_bundle_spec(spec))
+    assert type(r) is ProbeVerdict and r.verdict is verdict
+    assert len(r) == len(ProbeVerdict._fields) == 5
+    assert r.witness is None or type(r.witness) is Probe
+    assert all(type(p) is Probe for p in r.probes)
+    # the witness refutes, or is the cause of a found summand
+    summand = decide is detect_line_summand
+    assert (r.witness is not None) == (verdict is (T if summand else F))
+    # a split's summands, or the summand found, and nothing else
+    assert (r.value is not None) == (verdict is T and decide in (decide_split_tH, decide_split_acm3, detect_line_summand))
+    assert r.value is None or type(r.value) is (DivisorClass if summand else Sum)
+    assert type(r.note) is str and bool(r.note) == spec.startswith("ext(O(-1,1)")
+    # the old names perfbench/workloads.py reads; they go with ROADMAP
+    # item 3b, the benchmark PR that moves it to verdict and value
+    assert r.outcome is r.verdict and r.summand is r.value

@@ -102,5 +102,5 @@ def test_billion_copies_cost_nothing():
     # the (c-1)f family never fires; in the -f family, O(H-f)(tH-f) at
     # t = -1 is O(0,-2), with h^1 = 1 per copy, so 3 in all
     v = decide_split_tH(s, b)
-    assert v.outcome is Verdict.FALSE
-    assert (v.failure.name, v.failure.twist.h, v.failure.lo) == ("h1(E(tH-f))", -1, 3)
+    assert v.verdict is Verdict.FALSE
+    assert (v.witness.name, v.witness.twist.h, v.witness.lo) == ("h1(E(tH-f))", -1, 3)

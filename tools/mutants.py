@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Replay the committed mutants of the interval kernel against the tests.
+"""Replay the committed mutants of the interval kernel, the decisions and
+the CLI's decision table against the tests.
 
     python3 tools/mutants.py
 
 Run from anywhere; the checkout is the parent of this file's folder and
 is never written.  Each mutant in MUTANTS names a file under src/, an
 exact old text that occurs in it once, the new text that replaces it,
-the test files that must kill it, and the commit whose checks it comes
-from.  For each mutant, `src/`, `tests/` and `pyproject.toml` are copied
+the test files that must kill it, and the change whose checks it comes
+from.  For each mutant, `src/`, `tests/` and COPIED_FILES are copied
 into a temporary directory, the mutant is applied there, and
 `python -m pytest -x -q` runs on its test files with that copy's `src/`
 first on the path.  Pytest's exit 1 (a test failed) kills the mutant and
@@ -36,8 +37,9 @@ import time
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# beside src/ and tests/: pytest's settings
-COPIED_FILES = ("pyproject.toml",)
+# beside src/ and tests/: pytest's settings, and the README whose CLI
+# examples tests/test_cli.py reads when it is collected
+COPIED_FILES = ("pyproject.toml", "README.md")
 
 
 class Mutant(NamedTuple):
@@ -46,7 +48,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple[str, ...]
-    origin: str  # the commit whose mutation checks named it
+    origin: str  # the change whose mutation checks named it
 
 
 MUTANTS = (
@@ -125,6 +127,54 @@ MUTANTS = (
         ("tests/test_cohomology.py",),
         "d93c7ca Read leaf cohomology through one batched reader in cohomology",
     ),
+    Mutant(
+        "read-ignores-the-memo",
+        "src/scrollcalc/extensions.py",
+        "new = tuple(dict.fromkeys(filterfalse(values.__contains__, map(_TWIST, plan))))",
+        "new = tuple(dict.fromkeys(map(_TWIST, plan)))",
+        ("tests/test_extensions.py",),
+        "8cb7cf1 Read every decision's probes through one evaluator primitive",
+    ),
+    Mutant(
+        "read-takes-hi-as-lo",
+        "src/scrollcalc/extensions.py",
+        "(name, tw, v[2 * degree], v[2 * degree + 1])",
+        "(name, tw, v[2 * degree + 1], v[2 * degree + 1])",
+        ("tests/test_extensions.py",),
+        "8cb7cf1 Read every decision's probes through one evaluator primitive",
+    ),
+    Mutant(
+        "ulrich-false-carries-only-unresolved",
+        "src/scrollcalc/splitting.py",
+        "carried = unresolved if verdict is Verdict.INDETERMINATE else probes",
+        "carried = probes if verdict is Verdict.TRUE else unresolved",
+        ("tests/test_splitting.py",),
+        "8cb7cf1 Read every decision's probes through one evaluator primitive",
+    ),
+    Mutant(
+        "summand-cause-among-auxiliaries",
+        "src/scrollcalc/splitting.py",
+        "(Verdict.TRUE, cause, aux_probes, summand, \"\")",
+        "(Verdict.TRUE, cause, (cause, *aux_probes), summand, \"\")",
+        ("tests/test_extensions.py",),
+        "8cb7cf1 Read every decision's probes through one evaluator primitive",
+    ),
+    Mutant(
+        "ulrich-row-prints-decided-probes",
+        "src/scrollcalc/cli.py",
+        "undecided_probes_only=True)",
+        "undecided_probes_only=False)",
+        ("tests/test_cli.py",),
+        "One decision record, and the CLI's decision subcommands as rows of one table",
+    ),
+    Mutant(
+        "regularity-row-prints-a-witness-line",
+        "src/scrollcalc/cli.py",
+        'label="probe", options=("p", "pp")',
+        'witness="probe", label="probe", options=("p", "pp")',
+        ("tests/test_cli.py",),
+        "One decision record, and the CLI's decision subcommands as rows of one table",
+    ),
 )
 
 
@@ -140,17 +190,22 @@ def stale(mutant: Mutant) -> str | None:
     return None
 
 
+def copy_checkout(tmp: str) -> None:
+    """Copy `src/`, `tests/` and COPIED_FILES of the checkout into tmp."""
+    for folder in ("src", "tests"):
+        shutil.copytree(
+            os.path.join(ROOT, folder),
+            os.path.join(tmp, folder),
+            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache"),
+        )
+    for name in COPIED_FILES:
+        shutil.copy(os.path.join(ROOT, name), tmp)
+
+
 def run(mutant: Mutant) -> tuple[int, str, float]:
     """(pytest's exit status, its output, seconds) on a mutated copy."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        for folder in ("src", "tests"):
-            shutil.copytree(
-                os.path.join(ROOT, folder),
-                os.path.join(tmp, folder),
-                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache"),
-            )
-        for name in COPIED_FILES:
-            shutil.copy(os.path.join(ROOT, name), tmp)
+        copy_checkout(tmp)
         path = os.path.join(tmp, mutant.file)
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
